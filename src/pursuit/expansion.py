@@ -24,7 +24,7 @@ import numpy as np
 
 from . import seeds
 from .bounds import g_eps
-from .graph import GraphView, bfs_distances, bfs_layers
+from .graph import GraphView, _gather_neighbors, bfs_distances, bfs_layers
 
 __all__ = [
     "DenseExpansionParams",
@@ -226,15 +226,7 @@ def grow_disjoint_family(g: GraphView, u_set: list[int], t: int) -> dict[int, fr
             fr = frontiers[w]
             if len(fr) == 0:
                 continue
-            starts = indptr[fr]
-            cnt = indptr[fr + 1] - starts
-            total = int(cnt.sum())
-            if total == 0:
-                frontiers[w] = fr[:0]
-                continue
-            base = np.repeat(starts, cnt)
-            shift = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            nbrs = np.unique(indices[base + shift].astype(np.int64))
+            nbrs = np.unique(_gather_neighbors(indptr, indices, fr)[0])
             nbrs = nbrs[owner[nbrs] == -1]
             owner[nbrs] = w
             grown[w].extend(int(x) for x in nbrs)
@@ -524,27 +516,12 @@ def sparse_report(
     upper = {"checked": 0, "passed": 0, "skipped": 0, "max_constant": 0.0, "witness": None}
     erratic: set[int] = set()
     max_r = max(probes.radii)
-    indptr, indices = g.csr()
     for v in range(n):
         # one truncated BFS per vertex covers all probed radii
-        state = np.full(n, -1, dtype=np.int32)
-        state[v] = 0
-        frontier = [v]
-        depth = 0
-        sizes = {0: 1}
-        while frontier and depth < max_r:
-            depth += 1
-            nxt = []
-            for w in frontier:
-                for nb in indices[indptr[w] : indptr[w + 1]]:
-                    nb = int(nb)
-                    if state[nb] == -1:
-                        state[nb] = depth
-                        nxt.append(nb)
-            sizes[depth] = len(nxt)
-            frontier = nxt
+        dist = bfs_distances(g, [v], max_depth=max_r)
+        sizes = np.bincount(dist[dist > 0], minlength=max_r + 1)
         for r in probes.radii:
-            size = sizes.get(r, 0)
+            size = int(sizes[r])
             cap = 9.0 * d**r
             const = size / d**r
             upper["checked"] += 1

@@ -107,15 +107,18 @@ class GraphView:
         return f"GraphView(n={self.n}, m={self.num_edges})"
 
 
-def from_edges(n: int, edge_iter: Iterable[tuple[int, int]]) -> GraphView:
+def from_edges(n: int, edge_iter: Iterable[tuple[int, int]] | np.ndarray) -> GraphView:
     """Build a GraphView, validating simplicity.
 
-    Rejects self-loops, out-of-range endpoints, and duplicate edges
-    (either orientation counts as a duplicate).
+    Accepts any iterable of pairs or an (m, 2) integer array, which is
+    used as is.  Rejects self-loops, out-of-range endpoints, and
+    duplicate edges (either orientation counts as a duplicate).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    pairs = np.asarray(list(edge_iter), dtype=np.int64)
+    if not isinstance(edge_iter, np.ndarray):
+        edge_iter = list(edge_iter)
+    pairs = np.asarray(edge_iter, dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -125,112 +128,109 @@ def from_edges(n: int, edge_iter: Iterable[tuple[int, int]]) -> GraphView:
             raise ValueError("edge endpoint out of range")
         if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError("self-loop rejected")
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        if len(lo) > 1 and np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
-            raise ValueError("duplicate edge rejected")
-        edges = np.column_stack([lo, hi]).astype(np.int32)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int32)
-
-    deg = np.zeros(n, dtype=np.int64)
-    if len(edges):
-        np.add.at(deg, edges[:, 0], 1)
-        np.add.at(deg, edges[:, 1], 1)
+    # Both orientations of every edge, sorted on the key src*n + dst: the
+    # sorted keys are the CSR rows in order, and an edge given twice (in
+    # either orientation) shows up as two equal neighbouring keys.
+    keys = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
+    keys.sort()
+    if len(keys) > 1 and np.any(keys[1:] == keys[:-1]):
+        raise ValueError("duplicate edge rejected")
+    src, dst = np.divmod(keys, max(n, 1))
+    indices = dst.astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.zeros(2 * len(edges), dtype=np.int32)
-    if len(edges):
-        # fill rows, then sort each row once
-        fill = indptr[:-1].copy()
-        for u, v in edges:
-            indices[fill[u]] = v
-            fill[u] += 1
-            indices[fill[v]] = u
-            fill[v] += 1
-        for v in range(n):
-            seg = indices[indptr[v] : indptr[v + 1]]
-            seg.sort()
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    lower = src < indices
+    edges = np.column_stack([src[lower], indices[lower]]).astype(np.int32)
     return GraphView(n, indptr, indices, edges)
 
 
 # ---------------------------------------------------------------------------
-# BFS kernels
+# BFS kernel
+#
+# `bfs_distances` is the one traversal: everything that needs distances,
+# spheres or balls reads them off its output.  It is level-synchronous
+# and direction-optimising (Beamer, Asanovic and Patterson, SC 2012).  A
+# level runs top-down, labelling the unvisited vertices among the
+# frontier's gathered neighbour lists, while the frontier holds fewer
+# adjacency entries than the unvisited vertices do; otherwise it runs
+# bottom-up, and each unvisited vertex joins when one of its neighbours
+# is in the frontier.  Either way the next frontier is read off the
+# distance array, which doubles as the visited mask.  Each step costs
+# about one pass over the entries it touches, so the cheaper one is
+# taken; both give the same distances.
 
 
-def _gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of `verts` (duplicates preserved)."""
-    if len(verts) == 0:
-        return np.zeros(0, dtype=np.int32)
+def _concat_ranges(indices: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """indices[starts[i] : starts[i] + counts[i]] for every i, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    if total == 0:
+        return indices[:0]
+    return indices[np.arange(total) + np.repeat(starts - ends + counts, counts)]
+
+
+def _gather_neighbors(
+    indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated neighbor lists of `verts` (duplicates preserved) and their lengths."""
     starts = indptr[verts]
     counts = indptr[verts + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int32)
-    base = np.repeat(starts, counts)
-    shift = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    return indices[base + shift]
+    return _concat_ranges(indices, starts, counts), counts
 
 
 def bfs_distances(g: GraphView, sources: Sequence[int], max_depth: int | None = None) -> np.ndarray:
     """Multi-source BFS distance array; -1 marks unreached vertices."""
     indptr, indices = g.csr()
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
-    src = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if src.size and (src.min() < 0 or src.max() >= g.n):
-        raise ValueError("source vertex out of range")
-    if src.size == 0:
+    n = g.n
+    dist = np.full(n, UNREACHABLE, dtype=np.int32)
+    if not isinstance(sources, np.ndarray):
+        sources = list(sources)
+    frontier = np.asarray(sources, dtype=np.int64).ravel()
+    if frontier.size == 0:
         return dist
-    dist[src] = 0
-    frontier = src
+    if frontier.size > 1:
+        frontier = np.unique(frontier)
+    if frontier[0] < 0 or frontier[-1] >= n:
+        raise ValueError("source vertex out of range")
+    dist[frontier] = 0
+    unvisited_entries = len(indices)
     depth = 0
-    while len(frontier):
-        if max_depth is not None and depth >= max_depth:
+    while max_depth is None or depth < max_depth:
+        if len(frontier) == 1:
+            lo, hi = indptr[frontier[0]], indptr[frontier[0] + 1]
+            frontier_entries = int(hi - lo)
+        else:
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            frontier_entries = int(counts.sum())
+        unvisited_entries -= frontier_entries
+        if frontier_entries > unvisited_entries:
+            rows = np.flatnonzero(dist < 0)
+            nbrs, counts = _gather_neighbors(indptr, indices, rows)
+            has = counts > 0
+            if not has.any():
+                break
+            offsets = (np.cumsum(counts) - counts)[has]
+            fresh = rows[has][np.logical_or.reduceat((dist == depth)[nbrs], offsets)]
+        else:
+            if len(frontier) == 1:
+                nbrs = indices[lo:hi]
+            else:
+                nbrs = _concat_ranges(indices, starts, counts)
+            fresh = nbrs[dist[nbrs] < 0]
+        if len(fresh) == 0:
             break
         depth += 1
-        nbrs = _gather_neighbors(indptr, indices, frontier)
-        if len(nbrs) == 0:
-            break
-        nbrs = np.unique(nbrs)
-        nbrs = nbrs[dist[nbrs] == UNREACHABLE]
-        if len(nbrs) == 0:
-            break
-        dist[nbrs] = depth
-        frontier = nbrs
+        dist[fresh] = depth
+        if depth != max_depth:
+            frontier = (dist == depth).nonzero()[0]
     return dist
 
 
 def bfs_layers(g: GraphView, sources: Sequence[int], max_depth: int | None = None) -> list[np.ndarray]:
-    """Layers of a multi-source BFS; layers[r] holds vertices at distance r."""
-    indptr, indices = g.csr()
-    src = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if src.size and (src.min() < 0 or src.max() >= g.n):
-        raise ValueError("source vertex out of range")
-    layers: list[np.ndarray] = []
-    if src.size == 0:
-        return layers
-    seen = np.zeros(g.n, dtype=bool)
-    seen[src] = True
-    frontier = src
-    layers.append(frontier)
-    depth = 0
-    while len(frontier):
-        if max_depth is not None and depth >= max_depth:
-            break
-        depth += 1
-        nbrs = _gather_neighbors(indptr, indices, frontier)
-        if len(nbrs) == 0:
-            break
-        nbrs = np.unique(nbrs)
-        nbrs = nbrs[~seen[nbrs]]
-        if len(nbrs) == 0:
-            break
-        seen[nbrs] = True
-        layers.append(nbrs)
-        frontier = nbrs
-    return layers
+    """Layers of a multi-source BFS; layers[r] holds vertices at distance r, sorted."""
+    dist = bfs_distances(g, sources, max_depth=max_depth)
+    return [np.flatnonzero(dist == r) for r in range(int(dist.max(initial=-1)) + 1)]
 
 
 def sphere(g: GraphView, v: int, r: int) -> frozenset[int]:
@@ -294,14 +294,19 @@ def components(g: GraphView) -> list[tuple[int, ...]]:
     return out
 
 
-def shortest_path(g: GraphView, src: int, dst: int) -> list[int] | None:
+def shortest_path(
+    g: GraphView, src: int, dst: int, max_depth: int | None = None
+) -> list[int] | None:
     """One shortest path src -> dst, ties broken toward smaller vertex ids.
 
     Walks parents from dst back to src over a BFS distance field, always
     picking the smallest-id neighbor one layer closer, so the result is
-    deterministic.  Returns None when dst is unreachable.
+    deterministic.  Returns None when dst is unreachable or farther than
+    max_depth.
     """
-    dist = bfs_distances(g, [src])
+    if src == dst and 0 <= src < g.n:
+        return [src]
+    dist = bfs_distances(g, [src], max_depth=max_depth)
     if dist[dst] < 0:
         return None
     path = [dst]
@@ -349,14 +354,10 @@ def two_nearest_source_distances(
     level = 0
     while len(frontier_v):
         level += 1
-        starts = indptr[frontier_v]
-        cnt = indptr[frontier_v + 1] - starts
-        total = int(cnt.sum())
-        if total == 0:
+        nv, cnt = _gather_neighbors(indptr, indices, frontier_v)
+        if len(nv) == 0:
             break
-        base = np.repeat(starts, cnt)
-        shift = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        nv = indices[base + shift].astype(np.int64)
+        nv = nv.astype(np.int64)
         ns = np.repeat(frontier_s, cnt)
         # drop labels the target vertex cannot accept
         keep = (d2[nv] == -1) & (s1[nv] != ns)

@@ -31,6 +31,7 @@ from .game import GameState
 from .graph import (
     GraphView,
     bfs_distances,
+    shortest_path,
     two_nearest_source_distances,
 )
 from .matching import AssignmentProblem, assign_within_radius
@@ -63,27 +64,6 @@ __all__ = [
 # Shared machinery
 
 
-def _walk_path(g: GraphView, src: int, dst: int, cap: int) -> list[int] | None:
-    """Vertices after src on a shortest src->dst path, or None if > cap.
-
-    BFS runs from dst truncated at cap; ties descend to the smallest-id
-    neighbor, so walks are deterministic.
-    """
-    if src == dst:
-        return []
-    dist = bfs_distances(g, [dst], max_depth=cap)
-    if dist[src] < 0:
-        return None
-    path = []
-    cur = src
-    while cur != dst:
-        row = g.adjacency(cur)
-        nxt = row[dist[row] == dist[cur] - 1]
-        cur = int(nxt[0])
-        path.append(cur)
-    return path
-
-
 class _Cop:
     __slots__ = ("cid", "pos", "path", "role")
 
@@ -111,17 +91,19 @@ class _TeamStrategy:
         return out
 
     def _dispatch(self, cop: _Cop, dest: int, cap: int, audit: bool = True) -> bool:
-        path = _walk_path(self.g, cop.pos, dest, cap)
+        # BFS from dest, so ties descend to the smallest-id neighbor; the
+        # walk is the path reversed, without the cop's own vertex
+        path = shortest_path(self.g, dest, cop.pos, max_depth=cap)
         if path is None:
             self.meta["failures"].append(
                 {"kind": "unreachable", "cop": cop.cid, "dest": dest, "cap": cap}
             )
             return False
-        cop.path = path
+        cop.path = path[-2::-1]
         if audit:
             self.meta["assignment_audit"].append(
                 {"cop": cop.cid, "from": cop.pos, "dest": dest,
-                 "distance": len(path), "allotted": cap}
+                 "distance": len(cop.path), "allotted": cap}
             )
         return True
 

@@ -143,6 +143,93 @@ class TestBFS:
                     assert g.has_edge(a, b)
 
 
+def seeded_gnp_with_isolated(n, p, seed, isolated=(0, 1, 2)):
+    """G(n, p) from a seeded stream, minus every edge at `isolated`."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < p
+    keep &= ~np.isin(iu, isolated) & ~np.isin(ju, isolated)
+    return np.column_stack([iu[keep], ju[keep]])
+
+
+# sparse: mean degree about 1.1 log n; dense: about n/3.  On both, the
+# source sets below reach levels that the kernel runs bottom-up.
+KERNEL_GRAPHS = {
+    "sparse": (400, 1.1 * np.log(400) / 399, 11),
+    "dense": (400, 1.0 / 3.0, 12),
+}
+
+
+class TestKernelOnRandomGraphs:
+    @pytest.mark.parametrize("kind", sorted(KERNEL_GRAPHS))
+    def test_distances_match_oracle(self, kind):
+        n, p, seed = KERNEL_GRAPHS[kind]
+        g = from_edges(n, seeded_gnp_with_isolated(n, p, seed))
+        adj = oracles.adjacency_sets(g)
+        rng = np.random.default_rng(seed + 100)
+        source_sets = [[5], [0], [0, 7], [1, 2], [3, 3, 9]]
+        source_sets += [list(rng.choice(n, size=k, replace=False)) for k in (1, 2, 5, 16)]
+        for sources in source_sets:
+            ref = oracles.bfs_from(adj, sources)
+            want = np.array([ref.get(v, -1) for v in range(n)])
+            for cap in (None, 0, 1, 2):
+                dist = bfs_distances(g, sources, max_depth=cap)
+                assert dist.dtype == np.int32
+                expect = want if cap is None else np.where(want <= cap, want, -1)
+                assert np.array_equal(dist, expect), (sources, cap)
+                layers = bfs_layers(g, sources, max_depth=cap)
+                assert len(layers) == int(expect.max()) + 1
+                for r, layer in enumerate(layers):
+                    assert list(layer) == [v for v in range(n) if expect[v] == r]
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_GRAPHS))
+    def test_csr_from_list_and_shuffled_array(self, kind):
+        n, p, seed = KERNEL_GRAPHS[kind]
+        pairs = seeded_gnp_with_isolated(n, p, seed)
+        rng = np.random.default_rng(seed + 200)
+        shuffled = pairs[rng.permutation(len(pairs))]
+        flip = rng.random(len(shuffled)) < 0.5
+        shuffled[flip] = shuffled[flip][:, ::-1]
+        a = from_edges(n, [(int(u), int(v)) for u, v in pairs])
+        b = from_edges(n, shuffled)
+        adj = oracles.adjacency_sets(a)
+        for g in (a, b):
+            indptr, indices = g.csr()
+            assert indptr.dtype == np.int64 and indices.dtype == np.int32
+            assert g.edges().dtype == np.int32 and g.edges().shape == (len(pairs), 2)
+            for v in range(n):
+                assert list(g.adjacency(v)) == sorted(adj[v])
+        assert np.array_equal(a.edges(), pairs)
+        for x, y in zip(a.csr(), b.csr()):
+            assert np.array_equal(x, y)
+        assert np.array_equal(a.edges(), b.edges())
+
+    def test_reversed_duplicate_in_unsorted_array_rejected(self):
+        n, p, seed = KERNEL_GRAPHS["sparse"]
+        pairs = seeded_gnp_with_isolated(n, p, seed)
+        rng = np.random.default_rng(seed)
+        bad = np.vstack([pairs, pairs[len(pairs) // 2][::-1]])
+        bad = bad[rng.permutation(len(bad))]
+        with pytest.raises(ValueError, match="duplicate"):
+            from_edges(n, bad)
+
+    def test_array_input_validation(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            from_edges(3, np.array([[0, 1], [2, 2]]))
+        with pytest.raises(ValueError, match="range"):
+            from_edges(3, np.array([[0, 1], [1, 3]]))
+        with pytest.raises(ValueError, match="pairs"):
+            from_edges(3, np.array([[0, 1, 2]]))
+        g = from_edges(3, np.zeros((0, 2), dtype=np.int64))
+        assert g.num_edges == 0 and list(g.csr()[0]) == [0, 0, 0, 0]
+
+    def test_shortest_path_depth_cap(self):
+        g = path_graph(5)
+        assert shortest_path(g, 0, 3, max_depth=3) == [0, 1, 2, 3]
+        assert shortest_path(g, 0, 3, max_depth=2) is None
+        assert shortest_path(g, 4, 4, max_depth=0) == [4]
+
+
 class TestTwoNearest:
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy(max_n=10), st.data())
