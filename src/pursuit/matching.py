@@ -65,25 +65,43 @@ def max_matching(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
 
     `adj[u]` lists right-side ids for left vertex u.  Left vertices are
     processed in the given order and neighbors in list order, which keeps
-    the result deterministic.  Returns left -> right for matched lefts.
+    the result deterministic.  Each augmenting search is a depth-first
+    search on an explicit stack, so a long augmenting path costs no
+    recursion depth.  Returns left -> right for matched lefts.
     """
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
 
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for w in adj.get(u, ()):
-            if w in seen:
-                continue
-            seen.add(w)
-            if w not in match_r or try_augment(match_r[w], seen):
-                match_l[u] = w
-                match_r[w] = u
-                return True
+    def try_augment(root: int) -> bool:
+        seen: set[int] = set()
+        # stack[i] = (left vertex, its unscanned neighbors); via[i] is the
+        # right vertex that led from stack[i] to stack[i + 1]
+        stack = [(root, iter(adj.get(root, ())))]
+        via: list[int] = []
+        while stack:
+            u, rest = stack[-1]
+            for w in rest:
+                if w in seen:
+                    continue
+                seen.add(w)
+                if w not in match_r:
+                    # flip the path, deepest pair first
+                    for (x, _), y in zip(reversed(stack), [w] + via[::-1]):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+                via.append(w)
+                stack.append((match_r[w], iter(adj.get(match_r[w], ()))))
+                break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
         return False
 
     for u in left:
         if u not in match_l:
-            try_augment(u, set())
+            try_augment(u)
     return match_l
 
 

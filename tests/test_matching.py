@@ -1,7 +1,10 @@
 """Radius-capped assignment and the Hall machinery behind it."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import oracles
 from pursuit.graph import bfs_distances, cycle_graph, from_edges, path_graph
@@ -58,6 +61,27 @@ class TestMaxMatching:
     def test_deterministic(self):
         adj = {0: [10, 11], 1: [10, 11], 2: [11]}
         assert max_matching(adj, [0, 1, 2]) == max_matching(adj, [0, 1, 2])
+
+    def test_long_augmenting_chain(self):
+        # processing lefts from the top down, the last left augments
+        # through every earlier pair: a 3000-step augmenting path
+        n = 3000
+        adj = {0: [0], **{i: [i - 1, i] for i in range(1, n)}}
+        m = max_matching(adj, list(range(n - 1, -1, -1)))
+        assert m == {i: i for i in range(n)}
+
+    def test_size_matches_scipy(self):
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            nl, nr = (int(x) for x in rng.integers(1, 60, size=2))
+            mask = rng.random((nl, nr)) < rng.choice([0.02, 0.05, 0.15])
+            adj = {u: [int(w) for w in np.flatnonzero(mask[u])] for u in range(nl)}
+            left = [int(u) for u in rng.permutation(nl)]
+            got = max_matching(adj, left)
+            ref = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
+            assert len(got) == int(np.count_nonzero(ref >= 0))
+            assert len(set(got.values())) == len(got)
+            assert all(w in adj[u] for u, w in got.items())
 
 
 class TestAssignWithinRadius:
