@@ -251,8 +251,12 @@ class DenseStrategy(_TeamStrategy):
 
     # -- planning pieces
 
+    def _anchor_ball(self) -> np.ndarray:
+        """Mask of N(anchor, r); unreachable vertices (distance -1) stay out."""
+        return (self.anchor_dist >= 0) & (self.anchor_dist <= self.r)
+
     def _plan_saturate(self, v: int) -> None:
-        targets = sorted(int(x) for x in np.flatnonzero(self.anchor_dist <= self.r))
+        targets = sorted(int(x) for x in np.flatnonzero(self._anchor_ball()))
         ys = tuple(c.pos for c in self.team1)
         res = assign_within_radius(self.g, AssignmentProblem(tuple(targets), ys, self.r + 1))
         if not res.feasible:
@@ -311,7 +315,7 @@ class DenseStrategy(_TeamStrategy):
         self.meta["sphere_size"] = len(sphere_v)
         self.meta["holes"] = len(self.holes)
         # auxiliary guard of the whole ball at radius r+2
-        targets = tuple(sorted(int(x) for x in np.flatnonzero(self.anchor_dist <= self.r)))
+        targets = tuple(sorted(int(x) for x in np.flatnonzero(self._anchor_ball())))
         ys = tuple(c.pos for c in self.aux)
         res = assign_within_radius(self.g, AssignmentProblem(targets, ys, self.r + 2))
         if not res.feasible:

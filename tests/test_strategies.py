@@ -5,8 +5,8 @@ import math
 import pytest
 
 from pursuit.expansion import low_degree_set
-from pursuit.game import play, validate_trace
-from pursuit.graph import cycle_graph, path_graph
+from pursuit.game import GameState, play, validate_trace
+from pursuit.graph import cycle_graph, from_edges, path_graph
 from pursuit.models import gnp
 from pursuit.solver import solve_k
 from pursuit.strategies import (
@@ -149,6 +149,24 @@ class TestDenseStrategy:
         res = play(g, strat, robber_greedy(), horizon=50)
         for entry in res.meta["assignment_audit"]:
             assert entry["distance"] <= entry["allotted"]
+
+    @pytest.mark.parametrize("case", ["saturate", "sphere-relay"])
+    def test_isolated_robber_targets_only_its_component(self, case):
+        # a big component, a small one, and the isolated vertex n-1
+        if case == "saturate":
+            n, body = 30, [(i, j) for i in range(25) for j in range(i + 1, 25)]
+        else:
+            n, body = 100, [(i, (i + k) % 90) for i in range(90) for k in (1, 2)]
+        rest = [(i, i + 1) for i in range(len({v for e in body for v in e}), n - 2)]
+        g = from_edges(n, body + rest)
+        assert g.degree(n - 1) == 0
+        strat = dense_strategy(g, DenseStrategyConfig(C=math.sqrt(n), seed=1))
+        assert strat.case == case
+        cops = strat.place(g)
+        strat.move(g, GameState(tuple(sorted(cops)), n - 1, "cops", 0))
+        dests = {e["dest"] for e in strat.meta["assignment_audit"]}
+        assert dests == {n - 1}
+        assert not strat.meta["failures"]
 
     def test_budget_scales_with_C(self):
         n = 900
