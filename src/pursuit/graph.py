@@ -150,14 +150,13 @@ def from_edges(n: int, edge_iter: Iterable[tuple[int, int]] | np.ndarray) -> Gra
 # `bfs_distances` is the one traversal: everything that needs distances,
 # spheres or balls reads them off its output.  It is level-synchronous
 # and direction-optimising (Beamer, Asanovic and Patterson, SC 2012).  A
-# level runs top-down, labelling the unvisited vertices among the
-# frontier's gathered neighbour lists, while the frontier holds fewer
+# level runs top-down, marking the frontier's gathered neighbour lists in
+# a mask and keeping the unvisited ones, while the frontier holds fewer
 # adjacency entries than the unvisited vertices do; otherwise it runs
 # bottom-up, and each unvisited vertex joins when one of its neighbours
-# is in the frontier.  Either way the next frontier is read off the
-# distance array, which doubles as the visited mask.  Each step costs
-# about one pass over the entries it touches, so the cheaper one is
-# taken; both give the same distances.
+# is in the frontier.  The distance array doubles as the visited mask.
+# Each step costs about one pass over the entries it touches, so the
+# cheaper one is taken; both give the same distances.
 
 
 def _concat_ranges(indices: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -205,25 +204,24 @@ def bfs_distances(g: GraphView, sources: Sequence[int], max_depth: int | None = 
             frontier_entries = int(counts.sum())
         unvisited_entries -= frontier_entries
         if frontier_entries > unvisited_entries:
-            rows = np.flatnonzero(dist < 0)
-            nbrs, counts = _gather_neighbors(indptr, indices, rows)
-            has = counts > 0
-            if not has.any():
+            rows = np.flatnonzero((dist < 0) & (indptr[1:] > indptr[:-1]))
+            if len(rows) == 0:
                 break
-            offsets = (np.cumsum(counts) - counts)[has]
-            fresh = rows[has][np.logical_or.reduceat((dist == depth)[nbrs], offsets)]
-        else:
-            if len(frontier) == 1:
-                nbrs = indices[lo:hi]
-            else:
-                nbrs = _concat_ranges(indices, starts, counts)
+            nbrs, counts = _gather_neighbors(indptr, indices, rows)
+            fresh = rows[np.logical_or.reduceat((dist == depth)[nbrs], np.cumsum(counts) - counts)]
+        elif len(frontier) == 1:
+            # one row of a simple graph repeats no vertex
+            nbrs = indices[lo:hi]
             fresh = nbrs[dist[nbrs] < 0]
+        else:
+            reached = np.zeros(n, dtype=bool)
+            reached[_concat_ranges(indices, starts, counts)] = True
+            fresh = np.flatnonzero(reached & (dist < 0))
         if len(fresh) == 0:
             break
         depth += 1
         dist[fresh] = depth
-        if depth != max_depth:
-            frontier = (dist == depth).nonzero()[0]
+        frontier = fresh
     return dist
 
 
