@@ -1,4 +1,4 @@
-"""Immutable graph views and the BFS kernels everything else builds on.
+"""Immutable graph views and the BFS kernel everything else builds on.
 
 Graphs are simple and undirected, vertices are 0..n-1.  A GraphView keeps
 adjacency in CSR form (numpy int32 arrays) so that sphere/ball queries and

@@ -49,7 +49,9 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[f"{i:02d}-{a[0]}" for i, (a, _) in enumerate(GOLDEN)])
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN, ids=[f"{i:02d}-{argv[0]}" for i, (argv, _) in enumerate(GOLDEN)]
+)
 def test_golden_output(tmp_path, argv, digest):
     out = tmp_path / "run.out"
     assert main(argv + ["--out", str(out)]) == 0
