@@ -865,7 +865,7 @@ class TableCops:
         n = g.n
         ci = t.index_of(state.cops)
         best = None
-        for cj in t.cop_succ[ci]:
+        for cj in t.cop_successors(ci).tolist():
             p = (cj * n + state.robber) * 2 + ROBBER_TURN
             if not t.win[p]:
                 continue

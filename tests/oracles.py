@@ -4,8 +4,9 @@ Everything here is deliberately written with different algorithms and
 data structures than the library: dict-and-set BFS instead of CSR
 arrays, Hall subset enumeration instead of augmenting paths, bounded
 minimax instead of retrograde tables, mask enumeration instead of
-generators.  Frozen constants carry a comment saying how they were
-computed.
+generators.  The one retrograde here is a list-and-dict level loop, the
+reference for the solver's array sweep.  Frozen constants carry a
+comment saying how they were computed.
 """
 
 from __future__ import annotations
@@ -289,6 +290,72 @@ class MinimaxOracle:
                     break
             best = min(best, worst)
         return best
+
+
+def reference_retrograde(g: GraphView, k: int):
+    """Full retrograde tables by the list-and-dict level loop.
+
+    Returns (multisets, win, steps) over positions (ci*n + r)*2 + turn,
+    ci indexing `multisets` in combinations_with_replacement order, turn
+    0 for the cops; steps is -1 where the robber escapes.  Cop successors
+    come from itertools.product over closed neighbourhoods, and the level
+    loop walks Python lists of newly won positions.
+    """
+    n = g.n
+    multisets = list(itertools.combinations_with_replacement(range(n), k))
+    mindex = {ms: i for i, ms in enumerate(multisets)}
+    nbh = [sorted([v] + [int(x) for x in g.adjacency(v)]) for v in range(n)]
+    cop_succ = [
+        sorted({mindex[tuple(sorted(c))] for c in itertools.product(*(nbh[c] for c in ms))})
+        for ms in multisets
+    ]
+    total = len(multisets) * n * 2
+    win = [False] * total
+    steps = [-1] * total
+    counter = [0] * (len(multisets) * n)  # robber-turn out-degrees
+
+    cop_wins: list[tuple[int, int]] = []  # (ci, r) newly won at current level
+    robber_wins: list[tuple[int, int]] = []
+    for ci, ms in enumerate(multisets):
+        base = ci * n
+        for r in range(n):
+            if r in ms:
+                p = (base + r) * 2
+                win[p] = win[p + 1] = True
+                steps[p] = steps[p + 1] = 0
+                cop_wins.append((ci, r))
+                robber_wins.append((ci, r))
+            else:
+                counter[base + r] = len(nbh[r])
+
+    level = 0
+    while cop_wins or robber_wins:
+        # cop-turn wins at this level feed robber-turn counters
+        for ci, r in cop_wins:
+            base = ci * n
+            for rp in nbh[r]:
+                q = base + rp
+                if win[q * 2 + 1]:
+                    continue
+                counter[q] -= 1
+                if counter[q] == 0:
+                    win[q * 2 + 1] = True
+                    steps[q * 2 + 1] = level
+                    robber_wins.append((ci, rp))
+        # robber-turn wins propagate to cop-turn predecessors one level up
+        next_cop_wins: list[tuple[int, int]] = []
+        for ci, r in robber_wins:
+            for cj in cop_succ[ci]:
+                p = (cj * n + r) * 2
+                if win[p]:
+                    continue
+                win[p] = True
+                steps[p] = level + 1
+                next_cop_wins.append((cj, r))
+        cop_wins = next_cop_wins
+        robber_wins = []
+        level += 1
+    return multisets, win, steps
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Exact game solver: retrograde tables, cop number, dismantlability."""
 
+import hashlib
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +19,7 @@ from pursuit.graph import (
 )
 from pursuit.solver import (
     BudgetError,
+    PositionTable,
     cop_number,
     is_copwin_dismantlable,
     optimal_capture_time,
@@ -75,10 +80,31 @@ class TestCaptureTime:
 
 class TestTableInternals:
     def test_consistency_small(self):
-        for g in (path_graph(4), cycle_graph(5), star_graph(3)):
-            for k in (1, 2):
-                table = solve_k(g, k)
-                assert table.check_consistency() == []
+        lone = from_edges(4, [(0, 1), (1, 2)])  # vertex 3 has no neighbour
+        cases = [(g, k) for g in (path_graph(4), cycle_graph(5), star_graph(3), lone)
+                 for k in (1, 2)]
+        cases += [(path_graph(4), 3), (cycle_graph(5), 3), (lone, 3)]
+        for g, k in cases:
+            table = solve_k(g, k)
+            assert table.check_consistency() == []
+
+    def test_consistency_catches_a_wrong_move_table(self):
+        g = cycle_graph(5)
+        t = solve_k(g, 2)
+        succ = t.succ.copy()
+        succ[0] = succ[1]  # multiset 0 loses a successor and repeats another
+        forged = PositionTable(g, 2, t.multisets, t.succ_ptr, succ, np.array(t.steps))
+        assert any(p.startswith("cop moves from (0, 0)") for p in forged.check_consistency())
+
+    def test_table_surface(self):
+        g = cycle_graph(5)
+        a, b = solve_k(g, 2), solve_k(g, 2)
+        assert len(a.win) == len(a.steps) == 2 * g.n * math.comb(g.n + 1, 2)
+        assert (a.win == b.win) is True and (a.steps == b.steps) is True
+        assert type(a.win[0]) is bool and type(a.steps[1]) is int
+        assert a.multisets[3] == (0, 3) and a.index_of((3, 0)) == 3
+        with pytest.raises(ValueError):
+            a.index_of((0, 5))
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
@@ -141,6 +167,44 @@ class TestAgainstMinimax:
         t = solve_k(g, 2)
         best = t.best_placement()
         assert best is not None and best[1] == want
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_full_tables_match_reference(self, data):
+        n = data.draw(st.integers(1, 6))
+        # optionally leave vertex n-1 out of every edge
+        span = n - 1 if data.draw(st.booleans()) else n
+        pairs = oracles.vertex_pairs(span)
+        mask = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+        g = from_edges(n, oracles.edges_of_mask(span, mask))
+        k = data.draw(st.integers(1, 3))
+        multisets, win, steps = oracles.reference_retrograde(g, k)
+        table = solve_k(g, k)
+        assert list(table.multisets) == multisets
+        assert table.win.tolist() == win
+        assert table.steps.tolist() == steps
+
+    # sha256 of win (one byte per position) and steps (little-endian
+    # int32), and the best placement, recorded with the list-based solver
+    @pytest.mark.parametrize("g, win_sha, steps_sha, best", [
+        (grid_graph(6, 6), "602fd93607bac7167eac9b564efd9fce534f0da00d6b090cd6e893a3b1757fa4",
+         "8b38897e671001cc7b3d2bb3a4fce15ad853e3ad3d7cb9c88f8cd13fcdcfcf00", ((0, 9, 27), 4)),
+        (cycle_graph(40), "2667745fb303c90c6d4cc7784bc7c9b1610221fb0c394793e0378533c2c4b8c2",
+         "f8d5dc01e8c9fdb28aab0cff0926bf2ccd59a3f62d063c06b000005266d6fc81", ((0, 10, 25), 7)),
+    ], ids=["grid-6x6", "cycle-40"])
+    def test_pinned_three_cop_tables(self, g, win_sha, steps_sha, best):
+        table = solve_k(g, 3)
+        win = np.asarray(table.win, dtype=np.uint8).tobytes()
+        steps = np.asarray(table.steps, dtype="<i4").tobytes()
+        assert hashlib.sha256(win).hexdigest() == win_sha
+        assert hashlib.sha256(steps).hexdigest() == steps_sha
+        assert table.best_placement() == best
+
+    def test_long_horizon_path(self):
+        # the slowest position takes 1499 moves, so the sweep runs 1500 levels
+        assert solve_k(path_graph(1500), 1).best_placement() == ((749,), 750)
 
 
 class TestDismantlable:
