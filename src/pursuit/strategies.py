@@ -767,7 +767,10 @@ class GreedyRobber:
         return self._best(g, cops, range(g.n))
 
     def move(self, g: GraphView, state: GameState) -> int:
-        cands = [state.robber] + [int(x) for x in g.adjacency(state.robber)]
+        row = g.adjacency(state.robber)
+        if not len(row):
+            return state.robber  # staying is the only move
+        cands = [state.robber] + [int(x) for x in row]
         return self._best(g, state.cops, cands)
 
     @staticmethod

@@ -8,6 +8,7 @@ from pursuit.expansion import low_degree_set
 from pursuit.game import GameState, play, validate_trace
 from pursuit.graph import cycle_graph, from_edges, path_graph
 from pursuit.models import gnp
+from pursuit import strategies
 from pursuit.solver import solve_k
 from pursuit.strategies import (
     DenseStrategyConfig,
@@ -151,7 +152,7 @@ class TestDenseStrategy:
             assert entry["distance"] <= entry["allotted"]
 
     @pytest.mark.parametrize("case", ["saturate", "sphere-relay"])
-    def test_isolated_robber_targets_only_its_component(self, case):
+    def test_isolated_robber_targets_only_its_component(self, case, monkeypatch):
         # a big component, a small one, and the isolated vertex n-1
         if case == "saturate":
             n, body = 30, [(i, j) for i in range(25) for j in range(i + 1, 25)]
@@ -163,10 +164,17 @@ class TestDenseStrategy:
         strat = dense_strategy(g, DenseStrategyConfig(C=math.sqrt(n), seed=1))
         assert strat.case == case
         cops = strat.place(g)
-        strat.move(g, GameState(tuple(sorted(cops)), n - 1, "cops", 0))
+        moved = strat.move(g, GameState(tuple(sorted(cops)), n - 1, "cops", 0))
         dests = {e["dest"] for e in strat.meta["assignment_audit"]}
         assert dests == {n - 1}
         assert not strat.meta["failures"]
+        # the robber's forced stay needs no distance field
+        def forbidden(*args):
+            raise AssertionError("distance field computed for a forced stay")
+
+        monkeypatch.setattr(strategies, "two_nearest_source_distances", forbidden)
+        state = GameState(tuple(sorted(moved)), n - 1, "robber", 1)
+        assert robber_greedy().move(g, state) == n - 1
 
     def test_budget_scales_with_C(self):
         n = 900
