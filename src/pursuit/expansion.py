@@ -24,7 +24,7 @@ import numpy as np
 
 from . import seeds
 from .bounds import g_eps
-from .graph import GraphView, _gather_neighbors, bfs_distances, bfs_layers
+from .graph import GraphView, _gather_neighbors, bfs_distances, bfs_layers, bfs_per_source
 
 __all__ = [
     "DenseExpansionParams",
@@ -366,9 +366,11 @@ class QSetResult:
 def q_set_construction(g: GraphView, v: int, r: int, r_prime: int, d: float) -> QSetResult:
     """Build Q from the BFS tree rooted at v and measure its sphere overlap.
 
-    BFS parents are assigned deterministically: layers are scanned in
-    ascending vertex order, and a vertex's parent is the first neighbor
-    that discovers it.
+    BFS parents are assigned deterministically: each layer is scanned in
+    discovery order (the order its vertices were found, not ascending
+    vertex order), each vertex's neighbours in ascending order, and a
+    vertex's parent is the first vertex of the previous layer, in that
+    order, that has it as a neighbour.
     """
     if d <= 1.0:
         raise ValueError("needs d > 1")
@@ -377,31 +379,30 @@ def q_set_construction(g: GraphView, v: int, r: int, r_prime: int, d: float) -> 
     state = np.full(g.n, -1, dtype=np.int64)  # distance from v
     children = np.zeros(g.n, dtype=np.int64)
     state[v] = 0
-    frontier = [v]
+    frontier = np.array([v], dtype=np.int64)
     depth = 0
     # children counts need one layer beyond the cap
-    while frontier and depth <= depth_cap:
+    while len(frontier) and depth <= depth_cap:
         depth += 1
-        nxt = []
-        for w in frontier:
-            for nb in indices[indptr[w] : indptr[w + 1]]:
-                nb = int(nb)
-                if state[nb] == -1:
-                    state[nb] = depth
-                    children[w] += 1
-                    nxt.append(nb)
-        frontier = nxt
+        nbrs, counts = _gather_neighbors(indptr, indices, frontier)
+        parents = np.repeat(frontier, counts)
+        fresh = state[nbrs] == -1
+        nbrs, parents = nbrs[fresh], parents[fresh]
+        # nbrs is in scan order, so a vertex's first copy names its parent
+        _, first = np.unique(nbrs, return_index=True)
+        first.sort()
+        frontier = nbrs[first]
+        state[frontier] = depth
+        owners, owned = np.unique(parents[first], return_counts=True)
+        children[owners] = owned
     in_range = (state >= 0) & (state <= depth_cap)
     q_mask = in_range & (children < 2.0 * d / 3.0)
     q = frozenset(int(x) for x in np.flatnonzero(q_mask))
 
     per_a_max = 0
-    sphere_r = np.flatnonzero(state == r)
-    for a in sphere_r:
-        adist = bfs_distances(g, [int(a)], max_depth=r_prime)
-        sa = np.flatnonzero(adist == r_prime)
-        overlap = int(np.count_nonzero(q_mask[sa]))
-        per_a_max = max(per_a_max, overlap)
+    for _, depth, which, sa in bfs_per_source(g, np.flatnonzero(state == r), r_prime):
+        if depth == r_prime:
+            per_a_max = max(per_a_max, int(np.bincount(which[q_mask[sa]]).max(initial=0)))
     scale = d**r_prime * g.n ** (-1.0 / 54.0)
     bound = 2.0 * 9.0 * scale
     measured = per_a_max / scale if scale > 0 else math.inf
@@ -512,26 +513,26 @@ def sparse_report(
     gval = g_eps(density_eps)
     dset = low_degree_set(g, density_eps, d)
 
-    # condition 'sphere_upper': every vertex, every probed radius
-    upper = {"checked": 0, "passed": 0, "skipped": 0, "max_constant": 0.0, "witness": None}
-    erratic: set[int] = set()
-    max_r = max(probes.radii)
-    for v in range(n):
-        # one truncated BFS per vertex covers all probed radii
-        dist = bfs_distances(g, [v], max_depth=max_r)
-        sizes = np.bincount(dist[dist > 0], minlength=max_r + 1)
-        for r in probes.radii:
-            size = int(sizes[r])
-            cap = 9.0 * d**r
-            const = size / d**r
-            upper["checked"] += 1
-            if size <= cap:
-                upper["passed"] += 1
-            else:
-                erratic.add(v)
-            if const > upper["max_constant"]:
-                upper["max_constant"] = const
-                upper["witness"] = {"v": v, "r": r, "size": size}
+    # condition 'sphere_upper': every vertex, every probed radius; one
+    # batched truncated BFS gives |S(v, r)| for all v at once
+    radii = list(probes.radii)
+    sizes = np.zeros((n, max(radii) + 1), dtype=np.int64)
+    for first, r, which, _ in bfs_per_source(g, np.arange(n), max(radii)):
+        counts = np.bincount(which)
+        sizes[first:first + len(counts), r] = counts
+    sizes = sizes[:, radii]
+    scales = np.array([d**r for r in radii])
+    const = sizes / scales
+    ok = sizes <= 9.0 * scales
+    upper = {"checked": n * len(radii), "passed": int(np.count_nonzero(ok)), "skipped": 0,
+             "max_constant": 0.0, "witness": None}
+    erratic = set(np.flatnonzero(~ok.all(axis=1)).tolist())
+    # the first (v, r) in scan order, v outer, that attains the largest constant
+    best = int(np.argmax(const)) if n else 0
+    if n and const.flat[best] > 0.0:
+        v, j = divmod(best, len(radii))
+        upper["max_constant"] = float(const.flat[best])
+        upper["witness"] = {"v": v, "r": radii[j], "size": int(sizes[v, j])}
 
     # condition 'sphere_lower': probed vertices off D
     floor_const = (density_eps / math.e) ** 2

@@ -1,4 +1,4 @@
-"""Immutable graph views and the BFS kernel everything else builds on.
+"""Immutable graph views and the BFS kernels everything else builds on.
 
 Graphs are simple and undirected, vertices are 0..n-1.  A GraphView keeps
 adjacency in CSR form (numpy int32 arrays) so that sphere/ball queries and
@@ -12,7 +12,7 @@ Distance conventions: distances are int32, unreachable is the sentinel -1
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "components",
     "bfs_distances",
     "bfs_layers",
+    "bfs_per_source",
     "two_nearest_source_distances",
     "shortest_path",
     "read_edge_list",
@@ -145,18 +146,32 @@ def from_edges(n: int, edge_iter: Iterable[tuple[int, int]] | np.ndarray) -> Gra
 
 
 # ---------------------------------------------------------------------------
-# BFS kernel
+# BFS kernels
 #
-# `bfs_distances` is the one traversal: everything that needs distances,
-# spheres or balls reads them off its output.  It is level-synchronous
-# and direction-optimising (Beamer, Asanovic and Patterson, SC 2012).  A
-# level runs top-down, marking the frontier's gathered neighbour lists in
-# a mask and keeping the unvisited ones, while the frontier holds fewer
-# adjacency entries than the unvisited vertices do; otherwise it runs
-# bottom-up, and each unvisited vertex joins when one of its neighbours
-# is in the frontier.  The distance array doubles as the visited mask.
-# Each step costs about one pass over the entries it touches, so the
-# cheaper one is taken; both give the same distances.
+# Two entry points cover every traversal; everything that needs
+# distances, spheres or balls reads them off one of them.
+#
+# `bfs_distances` computes one distance field for the union of its
+# sources.  It is level-synchronous and direction-optimising (Beamer,
+# Asanovic and Patterson, SC 2012).  A level runs top-down, marking the
+# frontier's gathered neighbour lists in a mask and keeping the
+# unvisited ones, while the frontier holds fewer adjacency entries than
+# the unvisited vertices do; otherwise it runs bottom-up, and each
+# unvisited vertex joins when one of its neighbours is in the frontier.
+# The distance array doubles as the visited mask.  Each step costs about
+# one pass over the entries it touches, so the cheaper one is taken;
+# both give the same distances.
+#
+# `bfs_per_source` searches from each of many sources independently and
+# returns their spheres level by level, for callers that would otherwise
+# run one truncated `bfs_distances` per source.  A level is an array of
+# (source, vertex) keys; see its docstring.
+
+# Entry budget of `bfs_per_source`: its scratch array, one int32 entry per
+# (source, vertex) key of a chunk of sources, has at most this many
+# entries.  A chunk's levels and each piece of gathered neighbour lists
+# cost several arrays per entry, so they stay within an eighth of it.
+BFS_CHUNK = 1 << 18
 
 
 def _concat_ranges(indices: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -165,7 +180,9 @@ def _concat_ranges(indices: np.ndarray, starts: np.ndarray, counts: np.ndarray) 
     total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return indices[:0]
-    return indices[np.arange(total) + np.repeat(starts - ends + counts, counts)]
+    pos = np.repeat(starts - ends + counts, counts)
+    pos += np.arange(total)
+    return indices[pos]
 
 
 def _gather_neighbors(
@@ -223,6 +240,107 @@ def bfs_distances(g: GraphView, sources: Sequence[int], max_depth: int | None = 
         dist[fresh] = depth
         frontier = fresh
     return dist
+
+
+def bfs_per_source(
+    g: GraphView, sources: Sequence[int], max_depth: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Truncated BFS from every source on its own, level by level.
+
+    Unlike `bfs_distances`, which gives one distance field for the union
+    of its sources, each source here gets its own search; a repeated
+    source is searched again.  Sources are searched in chunks of
+    consecutive ones.  For each chunk, in order, this yields
+    `(first, r, which, verts)` for r = 0, 1, ... up to `max_depth` or the
+    chunk's last non-empty level: `which` and `verts` are equal-length
+    arrays, and `verts[i]` lies at distance exactly r from
+    `sources[first + which[i]]`.  At r = 0, `which` is 0, 1, ... over the
+    chunk.  Within a level each pair appears once, in no particular
+    order.
+
+    A level's pairs are keys `which * n + vertex`.  Expanding level r
+    gathers the neighbour lists of its vertices; in an undirected graph
+    these lie on levels r - 1, r and r + 1 only, so the keys of levels r
+    and r - 1 are dropped and what remains, without repeats, is level
+    r + 1.  Both steps use one scratch array indexed by key: every
+    gathered key writes its own id, the two previous levels overwrite
+    theirs with -1, and the one copy of a key whose id stuck stands for
+    it (the write-own-id step of `solver._claim`).  Every key read was
+    written in the same level, so the scratch is never cleared.
+
+    Chunks bound the memory.  A chunk holds at least one source and at
+    most `BFS_CHUNK // n`, so the scratch has at most max(BFS_CHUNK, n)
+    entries.  Within `max_depth` a source reaches at most
+    1 + D + D(D - 1) + ... vertices, D the largest degree, and at most n;
+    a chunk also holds few enough sources that its levels stay within
+    `BFS_CHUNK // 8` entries together, and neighbour lists are gathered
+    in pieces of at most that many entries (or one vertex's list).
+    """
+    if max_depth < 0:
+        raise ValueError("max_depth must be non-negative")
+    indptr, indices = g.csr()
+    n = g.n
+    src = np.asarray(sources if isinstance(sources, np.ndarray) else list(sources), dtype=np.int64)
+    src = src.ravel()
+    if src.size and (src.min() < 0 or src.max() >= n):
+        raise ValueError("source vertex out of range")
+    deg = indptr[1:] - indptr[:-1]
+    top, reach, width = int(deg.max(initial=0)), 1, 1
+    for r in range(max_depth):
+        width *= top if r == 0 else top - 1
+        reach += width
+        if reach >= n or width == 0:
+            break
+    level_cap = BFS_CHUNK // 8
+    step = max(1, min(BFS_CHUNK // max(n, 1), level_cap // max(1, min(reach, n))))
+    scratch = np.empty(min(step, len(src)) * n, dtype=np.int32)
+    for first in range(0, len(src), step):
+        # keys stay below max(BFS_CHUNK, n), so int32 holds them
+        verts = src[first:first + step].astype(np.int32)
+        which = np.arange(len(verts), dtype=np.int32)
+        keys, prev_keys = which * np.int32(n) + verts, which[:0]
+        yield first, 0, which, verts
+        for r in range(1, max_depth + 1):
+            starts, counts = indptr[verts], deg[verts]
+            ends = np.cumsum(counts)
+            if ends[-1] == 0:
+                break
+            if r == 1:
+                # a row of a simple graph repeats no vertex and leaves out
+                # its own, so every gathered key is new
+                found = [_gather_keys(indices, starts, counts, keys - verts)]
+            else:
+                cuts = [0, len(verts)]
+                if ends[-1] > level_cap:
+                    cuts = [0]
+                    while cuts[-1] < len(verts):
+                        a = cuts[-1]
+                        cut = ends[a] - counts[a] + level_cap
+                        cuts.append(max(a + 1, int(np.searchsorted(ends, cut, "right"))))
+                found = []
+                for a, b in zip(cuts, cuts[1:]):
+                    nv, nk = _gather_keys(indices, starts[a:b], counts[a:b], keys[a:b] - verts[a:b])
+                    ids = np.arange(len(nk), dtype=np.int32)
+                    scratch[nk] = ids
+                    scratch[keys] = -1
+                    scratch[prev_keys] = -1
+                    for _, k in found:
+                        scratch[k] = -1
+                    fresh = scratch[nk] == ids
+                    found.append((nv[fresh], nk[fresh]))
+            verts, new_keys = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+            if not len(verts):
+                break
+            prev_keys, keys = keys, new_keys
+            yield first, r, keys // np.int32(n), verts
+
+
+def _gather_keys(indices, starts, counts, bases):
+    """Neighbour lists of a level's vertices and their keys bases[i] + neighbour."""
+    nv = _concat_ranges(indices, starts, counts)
+    nk = np.repeat(bases, counts)
+    nk += nv
+    return nv, nk
 
 
 def bfs_layers(g: GraphView, sources: Sequence[int], max_depth: int | None = None) -> list[np.ndarray]:

@@ -2,8 +2,9 @@
 
 `assign_within_radius` is the workhorse: given destination vertices X and
 cop positions Y, it matches every destination to a distinct cop at graph
-distance at most r.  Incidence is materialized by one truncated BFS per
-destination.  When no perfect matching on X exists, the result carries a
+distance at most r.  Incidence is materialized by one batched truncated
+BFS from the destinations or from the distinct cop vertices, whichever
+set is smaller.  When no perfect matching on X exists, the result carries a
 Hall violation witness: a set K of destinations whose joint candidate
 set is smaller than K (found by alternating reachability from unmatched
 destinations).
@@ -17,7 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import GraphView, bfs_distances
+import numpy as np
+
+# bfs_distances is no longer called here; the name stays bound because
+# the benchmark's tracer (perfbench/tracing.py) patches it in this module
+from .graph import GraphView, _concat_ranges, bfs_distances, bfs_per_source  # noqa: F401
 
 __all__ = [
     "AssignmentProblem",
@@ -133,30 +138,52 @@ def _violation_witness(
     return tuple(sorted(reach_l))
 
 
+def _candidate_slots(g: GraphView, xs: list[int], ys: tuple[int, ...], r: int) -> dict[int, list[int]]:
+    """For each destination in xs, the cop slots within distance r, ascending.
+
+    Distance is symmetric, so one batched truncated BFS runs from the
+    destinations or from the distinct cop vertices, whichever set is
+    smaller.  A pair (x, slot) is coded x_index * len(ys) + slot, and one
+    sort of the codes lists every destination's slots in order.
+    """
+    cops = sorted(set(ys))
+    # the slots at cops[c] are slot_order[slot_start[c]:][:slot_count[c]], ascending
+    ys_arr = np.asarray(ys, dtype=np.int64)
+    slot_order = np.argsort(ys_arr, kind="stable").astype(np.int32)
+    slot_start = np.searchsorted(ys_arr[slot_order], cops).astype(np.int32)
+    slot_count = np.diff(slot_start, append=np.int32(len(ys)))
+    from_cops = len(cops) < len(xs)
+    sources, targets = (cops, xs) if from_cops else (xs, cops)
+    target_at = np.full(g.n, -1, dtype=np.int32)
+    target_at[targets] = np.arange(len(targets), dtype=np.int32)
+    codes = [np.zeros(0, dtype=np.int64)]
+    for first, _, which, verts in bfs_per_source(g, sources, r):
+        t = target_at[verts]
+        hit = t >= 0
+        s, t = which[hit] + np.int32(first), t[hit]
+        xi, ci = (t, s) if from_cops else (s, t)
+        counts = slot_count[ci]
+        slots = _concat_ranges(slot_order, slot_start[ci], counts)
+        code = np.repeat(xi, counts).astype(np.int64)
+        code *= len(ys)
+        code += slots
+        codes.append(code)
+    codes = np.concatenate(codes)
+    codes.sort()
+    bounds = np.searchsorted(codes, np.arange(len(xs) + 1) * len(ys)).tolist()
+    codes %= max(len(ys), 1)
+    return {x: codes[bounds[i]:bounds[i + 1]].tolist() for i, x in enumerate(xs)}
+
+
 def assign_within_radius(g: GraphView, problem: AssignmentProblem) -> AssignmentResult:
     """Match every destination to a distinct cop within the radius.
 
-    Cop slots are indices into problem.y_vertices.  Candidates for a
-    destination are collected by BFS from the destination truncated at
-    the radius, in ascending cop-slot order.
+    Cop slots are indices into problem.y_vertices; a destination's
+    candidates are the slots of every cop vertex within the radius, in
+    ascending slot order.
     """
     xs = sorted(problem.x_vertices)
-    ys = problem.y_vertices
-    r = problem.radius
-    # slot lists per cop vertex so multiset members become distinct slots
-    slots_at: dict[int, list[int]] = {}
-    for i, y in enumerate(ys):
-        slots_at.setdefault(y, []).append(i)
-
-    adj: dict[int, list[int]] = {}
-    for x in xs:
-        dist = bfs_distances(g, [x], max_depth=r)
-        cands: list[int] = []
-        for y, slots in slots_at.items():
-            if dist[y] >= 0:
-                cands.extend(slots)
-        adj[x] = sorted(cands)
-
+    adj = _candidate_slots(g, xs, problem.y_vertices, problem.radius)
     match_l = max_matching(adj, xs)
     if len(match_l) == len(xs):
         return AssignmentResult(problem, True, assignment=dict(sorted(match_l.items())))

@@ -31,6 +31,7 @@ from .game import GameState
 from .graph import (
     GraphView,
     bfs_distances,
+    bfs_per_source,
     shortest_path,
     two_nearest_source_distances,
 )
@@ -608,11 +609,11 @@ class SparseStrategy(_TeamStrategy):
         team = self.teams[i - 1]
         rs.team_size = len(team)
         r_next = self._radius(i + 1)
-        dst: set[int] = set()
-        for u in sorted(self.exits):
-            du = bfs_distances(self.g, [u], max_depth=r_next)
-            dst.update(int(x) for x in np.flatnonzero(du == r_next))
-        dst -= self.x_set
+        spheres = [np.zeros(0, dtype=np.int64)]
+        for _, r, _, verts in bfs_per_source(self.g, sorted(self.exits), r_next):
+            if r == r_next:
+                spheres.append(verts)
+        dst = set(np.unique(np.concatenate(spheres)).tolist()) - self.x_set
         rs.dst_size = len(dst)
         if not dst:
             self.covered = {}

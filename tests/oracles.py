@@ -44,6 +44,36 @@ def bfs_from(adj: list[set[int]], sources) -> dict[int, int]:
     return dist
 
 
+def bfs_tree_children(adj: list[set[int]], root: int) -> tuple[dict[int, int], dict[int, int]]:
+    """FIFO BFS from root scanning each vertex's neighbours in ascending
+    order; a vertex's parent is the vertex that first reaches it.
+    Returns (distance, number of tree children) per reached vertex."""
+    dist = {root: 0}
+    children = {root: 0}
+    q = deque([root])
+    while q:
+        u = q.popleft()
+        for w in sorted(adj[u]):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                children[w] = 0
+                children[u] += 1
+                q.append(w)
+    return dist, children
+
+
+def q_set_reference(g: GraphView, v: int, r: int, r_prime: int, d: float) -> tuple[frozenset, int]:
+    """Q and the largest |S(a, r_prime) & Q| over a in S(v, r), from dict BFS."""
+    adj = adjacency_sets(g)
+    dist, children = bfs_tree_children(adj, v)
+    q = frozenset(u for u, du in dist.items() if du <= r + r_prime and children[u] < 2.0 * d / 3.0)
+    per_a_max = 0
+    for a in (u for u, du in dist.items() if du == r):
+        sa = [x for x, dx in bfs_from(adj, [a]).items() if dx == r_prime]
+        per_a_max = max(per_a_max, sum(1 for x in sa if x in q))
+    return q, per_a_max
+
+
 def all_pairs_dist(g: GraphView) -> list[dict[int, int]]:
     adj = adjacency_sets(g)
     return [bfs_from(adj, [s]) for s in range(g.n)]

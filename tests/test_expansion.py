@@ -247,6 +247,18 @@ class TestQSets:
         assert res.per_a_max >= 0
         assert res.bound == pytest.approx(18.0 * d**1 * g.n ** (-1.0 / 54.0))
 
+    @pytest.mark.parametrize("seed", [15, 16])
+    def test_matches_dict_bfs_reference(self, seed):
+        # parents follow discovery order; at n=1200 and d = 1.1 log n the
+        # ball of radius r + r' + 1 is most of the graph
+        g, d = sparse_instance(1200, seed)
+        rng = np.random.default_rng(seed)
+        for v in rng.choice(g.n, size=4, replace=False):
+            for r, rp, dd in ((2, 1, d), (1, 2, d), (0, 1, d), (2, 0, 12.0)):
+                res = q_set_construction(g, int(v), r, rp, dd)
+                q, per_a_max = oracles.q_set_reference(g, int(v), r, rp, dd)
+                assert res.q == q and res.per_a_max == per_a_max, (v, r, rp)
+
     def test_low_child_vertices_belong(self):
         # on a cycle every vertex except the root has one BFS child,
         # and 1 < 2d/3 = 4/3; the root itself has two and is excluded

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import pursuit.graph
 from pursuit.graph import (
     GraphView,
     ball,
     bfs_distances,
     bfs_layers,
+    bfs_per_source,
     closed_neighborhood,
     complete_graph,
     components,
@@ -181,6 +183,55 @@ class TestKernelOnRandomGraphs:
                 assert len(layers) == int(expect.max()) + 1
                 for r, layer in enumerate(layers):
                     assert list(layer) == [v for v in range(n) if expect[v] == r]
+
+    # BFS_CHUNK 1200 gives chunks of up to three sources at n=400 and
+    # pieces of at most 150 entries; 300 searches one source at a time in
+    # pieces of at most 37 entries; both split levels on both graphs
+    @pytest.mark.parametrize("budget", [None, 1200, 300])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_GRAPHS))
+    def test_per_source_matches_oracle(self, kind, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(pursuit.graph, "BFS_CHUNK", budget)
+        n, p, seed = KERNEL_GRAPHS[kind]
+        g = from_edges(n, seeded_gnp_with_isolated(n, p, seed))
+        adj = oracles.adjacency_sets(g)
+        rng = np.random.default_rng(seed + 300)
+        # isolated vertices 0, 1, 2 and repeated sources among them
+        sources = [5, 0, 5, 1, 2, 7, 0] + [int(v) for v in rng.choice(n, size=12, replace=False)]
+        ref = [oracles.bfs_from(adj, [s]) for s in sources]
+        ecc = max(max(dists.values()) for dists in ref)
+        for cap in (0, 1, 2, ecc + 3):
+            got = [{} for _ in sources]
+            levels = []
+            for first, r, which, verts in bfs_per_source(g, np.array(sources), cap):
+                if r == 0:
+                    chunk = len(which)
+                    assert first == sum(len(w) for f, rr, w in levels if rr == 0) and chunk > 0
+                    assert list(which) == list(range(chunk))
+                    assert list(verts) == sources[first:first + chunk]
+                else:
+                    assert levels[-1][:2] == (first, r - 1)
+                levels.append((first, r, which))
+                assert len(which) == len(verts) > 0
+                for i, v in zip(which.tolist(), verts.tolist()):
+                    assert v not in got[first + i], (first + i, v)
+                    got[first + i][v] = r
+            # each chunk's levels run to the cap or to its last non-empty one
+            firsts = sorted({f for f, _, _ in levels})
+            assert firsts[-1] + len(next(w for f, rr, w in levels if f == firsts[-1] and rr == 0)) == len(sources)
+            for f, nxt in zip(firsts, firsts[1:] + [len(sources)]):
+                deepest = max(max(d.values()) for d in ref[f:nxt])
+                assert max(rr for ff, rr, _ in levels if ff == f) == min(cap, deepest)
+            for i, dists in enumerate(ref):
+                assert got[i] == {v: dd for v, dd in dists.items() if dd <= cap}, (i, cap)
+
+    def test_per_source_edge_cases(self):
+        g = path_graph(4)
+        assert list(bfs_per_source(g, [], 3)) == []
+        with pytest.raises(ValueError, match="range"):
+            list(bfs_per_source(g, [0, 4], 1))
+        with pytest.raises(ValueError, match="max_depth"):
+            list(bfs_per_source(g, [0], -1))
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_GRAPHS))
     def test_csr_from_list_and_shuffled_array(self, kind):

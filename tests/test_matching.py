@@ -10,6 +10,7 @@ import oracles
 from pursuit.graph import bfs_distances, cycle_graph, from_edges, path_graph
 from pursuit.matching import (
     AssignmentProblem,
+    _violation_witness,
     assign_within_radius,
     hall_deficiency,
     max_matching,
@@ -162,3 +163,44 @@ class TestAssignWithinRadius:
             for x in worst:
                 union |= set(adj[x])
             assert res.deficiency >= len(worst) - len(union) > 0
+
+
+def assign_per_destination(g, problem):
+    """Reference: one dict-based BFS per destination, then the same matching."""
+    adjsets = oracles.adjacency_sets(g)
+    xs = sorted(problem.x_vertices)
+    adj = {}
+    for x in xs:
+        dist = oracles.bfs_from(adjsets, [x])
+        adj[x] = [s for s, y in enumerate(problem.y_vertices)
+                  if dist.get(y, problem.radius + 1) <= problem.radius]
+    match_l = max_matching(adj, xs)
+    witness = () if len(match_l) == len(xs) else _violation_witness(adj, xs, match_l)
+    return dict(sorted(match_l.items())), len(xs) - len(match_l), witness
+
+
+def test_assign_matches_per_destination_oracle():
+    # both search directions (fewer distinct cops than destinations and
+    # the reverse), multisets of cops that repeat vertices, isolated
+    # vertices, radius 0 and past the diameter
+    rng = np.random.default_rng(2024)
+    checked = {True: 0, False: 0}
+    for trial in range(150):
+        n = int(rng.integers(8, 60))
+        p = float(rng.choice([0.03, 0.08, 0.2]))
+        iu, ju = np.triu_indices(n, k=1)
+        keep = (rng.random(len(iu)) < p) & (iu != 0) & (ju != 0)
+        g = from_edges(n, np.column_stack([iu[keep], ju[keep]]))
+        k = int(rng.integers(1, 6 if trial % 2 else n + 1))
+        xs = tuple(int(v) for v in rng.choice(n, size=k, replace=False))
+        pool = rng.choice(n, size=int(rng.integers(1, 8)), replace=False)
+        ys = tuple(int(v) for v in rng.choice(pool, size=int(rng.integers(1, 12))))
+        radius = int(rng.integers(0, 6))
+        prob = AssignmentProblem(xs, ys, radius)
+        res = assign_within_radius(g, prob)
+        assignment, deficiency, witness = assign_per_destination(g, prob)
+        assert res.assignment == assignment, trial
+        assert res.deficiency == deficiency and res.feasible == (deficiency == 0)
+        assert res.violation == witness
+        checked[len(set(ys)) < len(xs)] += 1
+    assert min(checked.values()) > 20
