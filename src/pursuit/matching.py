@@ -16,6 +16,7 @@ reruns reproduce the same assignment.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,9 +124,9 @@ def _violation_witness(
     start = [u for u in left if u not in match_l]
     reach_l = set(start)
     reach_r: set[int] = set()
-    queue = list(start)
+    queue = deque(start)
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for w in adj.get(u, ()):
             if w in reach_r:
                 continue

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -670,9 +671,9 @@ class SparseStrategy(_TeamStrategy):
         cap = self.anchor_dist <= r
         region = []
         seen = {robber}
-        queue = [robber]
+        queue = deque([robber])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             region.append(u)
             for w in self.g.adjacency(u):
                 w = int(w)
