@@ -514,13 +514,14 @@ def sparse_report(
     dset = low_degree_set(g, density_eps, d)
 
     # condition 'sphere_upper': every vertex, every probed radius; one
-    # batched truncated BFS gives |S(v, r)| for all v at once
+    # batched truncated BFS gives |S(v, r)| for all v at once, and for the
+    # lower-bound probes' radii too
     radii = list(probes.radii)
-    sizes = np.zeros((n, max(radii) + 1), dtype=np.int64)
-    for first, r, which, _ in bfs_per_source(g, np.arange(n), max(radii)):
+    sphere_sizes = np.zeros((n, max(radii + [r for _, r in probes.vertex_probes]) + 1), dtype=np.int64)
+    for first, r, which, _ in bfs_per_source(g, np.arange(n), sphere_sizes.shape[1] - 1):
         counts = np.bincount(which)
-        sizes[first:first + len(counts), r] = counts
-    sizes = sizes[:, radii]
+        sphere_sizes[first:first + len(counts), r] = counts
+    sizes = sphere_sizes[:, radii]
     scales = np.array([d**r for r in radii])
     const = sizes / scales
     ok = sizes <= 9.0 * scales
@@ -541,8 +542,7 @@ def sparse_report(
         if v in dset:
             lower["skipped"] += 1
             continue
-        dist = bfs_distances(g, [v], max_depth=r)
-        size = int(np.count_nonzero(dist == r))
+        size = int(sphere_sizes[v, r])
         const = size / d**r
         lower["checked"] += 1
         if size > floor_const * d**r:

@@ -49,7 +49,10 @@ UNREACHABLE = np.int32(-1)
 class GraphView:
     """Immutable simple undirected graph with CSR adjacency."""
 
-    __slots__ = ("n", "_indptr", "_indices", "_edges")
+    # `_rows` and `_csr_touched` belong to `bfs_distances`: the packed
+    # adjacency rows once built, and the adjacency entries its CSR levels
+    # have touched until then.  Equality and hashing ignore both.
+    __slots__ = ("n", "_indptr", "_indices", "_edges", "_rows", "_csr_touched")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, edges: np.ndarray):
         self.n = int(n)
@@ -58,6 +61,8 @@ class GraphView:
         self._edges = edges
         for a in (self._indptr, self._indices, self._edges):
             a.setflags(write=False)
+        self._rows = None
+        self._csr_touched = 0
 
     @property
     def num_edges(self) -> int:
@@ -162,6 +167,21 @@ def from_edges(n: int, edge_iter: Iterable[tuple[int, int]] | np.ndarray) -> Gra
 # one pass over the entries it touches, so the cheaper one is taken;
 # both give the same distances.
 #
+# On a graph with Theta(n^2) edges even the cheaper step gathers up to
+# ~10^6 entries a level, so such a graph gets packed adjacency rows: an
+# n x ceil(n/64) array of 64-bit words, bit u of row v set when uv is an
+# edge.  They exist only where they take no more bytes than `indices`,
+# so they never cost more memory than the CSR already holds.  They are
+# built once the CSR levels run on the graph have touched as many
+# adjacency entries as `indices` holds; the build marks each entry once
+# and packs n^2 bits, so a graph searched only once or twice never pays
+# for it.
+# They are cached, read-only, on the GraphView.  With rows, a level
+# runs top-down by OR-ing the frontier's rows when the frontier has no
+# more vertices than the unvisited set, and otherwise bottom-up by
+# AND-ing each unvisited vertex's row with the packed frontier; either
+# way it reads rows in pieces of at most `BFS_CHUNK` words.
+#
 # `bfs_per_source` searches from each of many sources independently and
 # returns their spheres level by level, for callers that would otherwise
 # run one truncated `bfs_distances` per source.  A level is an array of
@@ -171,6 +191,8 @@ def from_edges(n: int, edge_iter: Iterable[tuple[int, int]] | np.ndarray) -> Gra
 # (source, vertex) key of a chunk of sources, has at most this many
 # entries.  A chunk's levels and each piece of gathered neighbour lists
 # cost several arrays per entry, so they stay within an eighth of it.
+# Packed-row levels read at most this many words at a time, and packing
+# marks at most this many bits at a time (or one row).
 BFS_CHUNK = 1 << 18
 
 
@@ -209,37 +231,100 @@ def bfs_distances(g: GraphView, sources: Sequence[int], max_depth: int | None = 
     if frontier[0] < 0 or frontier[-1] >= n:
         raise ValueError("source vertex out of range")
     dist[frontier] = 0
-    unvisited_entries = len(indices)
+    rows = _packed_rows(g)
+    # what the two steps are weighed by: unvisited vertices with rows,
+    # unvisited adjacency entries without
+    unvisited = n - len(frontier) if rows is not None else len(indices)
+    touched = 0
     depth = 0
     while max_depth is None or depth < max_depth:
-        if len(frontier) == 1:
-            lo, hi = indptr[frontier[0]], indptr[frontier[0] + 1]
-            frontier_entries = int(hi - lo)
+        if rows is not None:
+            fresh = _packed_level(rows, dist, frontier, unvisited)
+            unvisited -= len(fresh)
         else:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            frontier_entries = int(counts.sum())
-        unvisited_entries -= frontier_entries
-        if frontier_entries > unvisited_entries:
-            rows = np.flatnonzero((dist < 0) & (indptr[1:] > indptr[:-1]))
-            if len(rows) == 0:
-                break
-            nbrs, counts = _gather_neighbors(indptr, indices, rows)
-            fresh = rows[np.logical_or.reduceat((dist == depth)[nbrs], np.cumsum(counts) - counts)]
-        elif len(frontier) == 1:
-            # one row of a simple graph repeats no vertex
-            nbrs = indices[lo:hi]
-            fresh = nbrs[dist[nbrs] < 0]
-        else:
-            reached = np.zeros(n, dtype=bool)
-            reached[_concat_ranges(indices, starts, counts)] = True
-            fresh = np.flatnonzero(reached & (dist < 0))
+            if len(frontier) == 1:
+                lo, hi = indptr[frontier[0]], indptr[frontier[0] + 1]
+                frontier_entries = int(hi - lo)
+            else:
+                starts = indptr[frontier]
+                counts = indptr[frontier + 1] - starts
+                frontier_entries = int(counts.sum())
+            unvisited -= frontier_entries
+            if frontier_entries > unvisited:
+                left = np.flatnonzero((dist < 0) & (indptr[1:] > indptr[:-1]))
+                if len(left) == 0:
+                    break
+                nbrs, counts = _gather_neighbors(indptr, indices, left)
+                touched += len(nbrs)
+                fresh = left[np.logical_or.reduceat((dist == depth)[nbrs], np.cumsum(counts) - counts)]
+            elif len(frontier) == 1:
+                # one row of a simple graph repeats no vertex
+                nbrs = indices[lo:hi]
+                touched += len(nbrs)
+                fresh = nbrs[dist[nbrs] < 0]
+            else:
+                touched += frontier_entries
+                reached = np.zeros(n, dtype=bool)
+                reached[_concat_ranges(indices, starts, counts)] = True
+                fresh = np.flatnonzero(reached & (dist < 0))
         if len(fresh) == 0:
             break
         depth += 1
         dist[fresh] = depth
         frontier = fresh
+    g._csr_touched += touched
     return dist
+
+
+# Packed rows are little-endian words, so that their bytes, unpacked in
+# little bit order, list vertices in order on any machine.
+_WORD = np.dtype("<u8")
+
+
+def _packed_rows(g: GraphView) -> np.ndarray | None:
+    """g's packed adjacency rows, built here once the rule above allows."""
+    if g._rows is None:
+        indptr, indices = g.csr()
+        words = (g.n + 63) // 64
+        if g._csr_touched >= len(indices) and g.n * words * _WORD.itemsize <= indices.nbytes:
+            g._rows = _pack_rows(indptr, indices, g.n)
+    return g._rows
+
+
+def _pack_rows(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """Read-only n x ceil(n/64) words, bit u of row v set when u is in v's list."""
+    words = (n + 63) // 64
+    rows = np.empty((n, words), dtype=_WORD)
+    deg = indptr[1:] - indptr[:-1]
+    # whole rows, about BFS_CHUNK bits at a time, marked in a bool mask
+    step = max(1, BFS_CHUNK // (64 * words))
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        bits = np.zeros((b - a) * 64 * words, dtype=bool)
+        at = np.repeat(np.arange(0, len(bits), 64 * words, dtype=np.int32), deg[a:b])
+        at += indices[indptr[a]:indptr[b]]
+        bits[at] = True
+        rows[a:b] = np.packbits(bits, bitorder="little").view(_WORD).reshape(b - a, words)
+    rows.setflags(write=False)
+    return rows
+
+
+def _packed_level(rows: np.ndarray, dist: np.ndarray, frontier: np.ndarray, unvisited: int) -> np.ndarray:
+    """The unvisited vertices adjacent to `frontier`, read off packed rows."""
+    n, words = rows.shape
+    step = max(1, BFS_CHUNK // words)
+    if len(frontier) <= unvisited:
+        reached = np.zeros(words, dtype=_WORD)
+        for a in range(0, len(frontier), step):
+            reached |= np.bitwise_or.reduce(rows[frontier[a:a + step]], axis=0)
+        hit = np.unpackbits(reached.view(np.uint8), count=n, bitorder="little").view(bool)
+        return np.flatnonzero(hit & (dist < 0))
+    mask = np.zeros(words * 64, dtype=bool)
+    mask[frontier] = True
+    packed = np.packbits(mask, bitorder="little").view(_WORD)
+    left = np.flatnonzero(dist < 0)
+    hit = [(rows[left[a:a + step]] & packed).any(axis=1) for a in range(0, len(left), step)]
+    return left[np.concatenate(hit)] if hit else left
 
 
 def bfs_per_source(

@@ -281,6 +281,100 @@ class TestKernelOnRandomGraphs:
         assert shortest_path(g, 4, 4, max_depth=0) == [4]
 
 
+def fresh_view(g):
+    """A copy of g with no packed rows and no search history."""
+    return GraphView(g.n, *g.csr(), g.edges())
+
+
+def with_packed_rows(g):
+    """A copy of g whose searches all run on packed rows, built directly
+    so that graphs too sparse to qualify for them can be searched too."""
+    h = fresh_view(g)
+    h._rows = pursuit.graph._pack_rows(*g.csr(), g.n)
+    return h
+
+
+# n around the word boundaries, so that the last word's padding bits are
+# read; vertex 2 and the last vertex (alone in the last word at n = 65
+# and 129) are isolated once n > 3
+PACKED_SIZES = [1, 2, 63, 64, 65, 129]
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("budget", [None, 64])
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_distances_match_oracle(self, n, p, budget, monkeypatch):
+        if budget is not None:
+            # pieces of one row when packing and of 21 rows a level at n = 129
+            monkeypatch.setattr(pursuit.graph, "BFS_CHUNK", budget)
+        isolated = (2, n - 1) if n > 3 else ()
+        g = from_edges(n, seeded_gnp_with_isolated(n, p, n, isolated))
+        adj = oracles.adjacency_sets(g)
+        packed = with_packed_rows(g)
+        rng = np.random.default_rng(n)
+        source_sets = [[0], [n - 1], [0, n - 1], [n - 1, 0, n - 1], list(range(n))]
+        source_sets += [[int(v) for v in rng.choice(n, size=min(k, n))] for k in (1, 3, 9)]
+        for sources in source_sets:
+            ref = oracles.bfs_from(adj, sources)
+            want = np.array([ref.get(v, -1) for v in range(n)])
+            for cap in (None, 0, 1, 2, int(want.max()) + 3):
+                expect = want if cap is None else np.where(want <= cap, want, -1)
+                assert np.array_equal(bfs_distances(fresh_view(g), sources, max_depth=cap), expect)
+                dist = bfs_distances(packed, sources, max_depth=cap)
+                assert dist.dtype == np.int32
+                assert np.array_equal(dist, expect), (sources, cap)
+
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_rows_hold_the_adjacency(self, n):
+        g = from_edges(n, seeded_gnp_with_isolated(n, 0.5, n, (2, n - 1) if n > 3 else ()))
+        rows = with_packed_rows(g)._rows
+        assert rows.shape == (n, (n + 63) // 64) and not rows.flags.writeable
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+        matrix = np.zeros((n, bits.shape[1]), dtype=np.uint8)
+        for u, v in g.edges():
+            matrix[u, v] = matrix[v, u] = 1
+        assert np.array_equal(bits, matrix)  # padding bits included
+
+    def test_built_once_csr_levels_touch_the_entries(self):
+        n = 129
+        g = from_edges(n, seeded_gnp_with_isolated(n, 0.5, 7, (2, n - 1)))
+        twin = fresh_view(g)
+        indices = g.csr()[1]
+        adj = oracles.adjacency_sets(g)
+        built = []
+        for v in range(n):
+            for cap in (None, 1):
+                # a search builds the rows when the searches before it
+                # touched as many entries as `indices` holds
+                due = g._csr_touched >= len(indices)
+                ref = oracles.bfs_from(adj, [v, (v * 7) % n])
+                want = np.array([ref.get(u, -1) for u in range(n)])
+                expect = want if cap is None else np.where(want <= cap, want, -1)
+                assert np.array_equal(bfs_distances(g, [v, (v * 7) % n], max_depth=cap), expect)
+                assert (g._rows is not None) == due
+                built.append(due)
+        assert not built[0] and built[-1]  # searches ran before and after the build
+        rows = g._rows
+        assert rows.nbytes <= indices.nbytes
+        assert np.array_equal(rows, pursuit.graph._pack_rows(*g.csr(), n))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        # equality and hashing ignore the rows
+        assert g == twin and twin == g and hash(g) == hash(twin)
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_GRAPHS))
+    def test_rows_only_where_they_fit(self, kind):
+        n, p, seed = KERNEL_GRAPHS[kind]
+        g = from_edges(n, seeded_gnp_with_isolated(n, p, seed))
+        for v in range(n):
+            bfs_distances(g, [v])
+        assert g._csr_touched >= len(g.csr()[1])
+        # 400 rows of 7 words take 22,400 bytes; `indices` takes 210,064
+        # bytes on the dense graph and 10,376 on the sparse one
+        assert (g._rows is not None) == (kind == "dense")
+
+
 class TestTwoNearest:
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy(max_n=10), st.data())

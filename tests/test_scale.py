@@ -54,3 +54,21 @@ def test_verify_expansion_sparse_100000(tmp_path, record_property):
     print(f"\nverify-expansion --regime sparse --n 100000 --count 200: {wall:.2f} s, ru_maxrss {rss:.0f} MB")
     row = json.loads(out.read_text())["results"][0]
     assert row["upper_checked"] == 100000 * 3
+
+
+@pytest.mark.scale
+def test_simulate_dense_20000(tmp_path, record_property):
+    # d = log^3 n, about 971, gives about 9.7M edges, and building G(n, p)
+    # is most of the run; below sqrt(n) log n, about 1400, it selects "hold"
+    out = tmp_path / "run.json"
+    argv = ["simulate", "--regime", "dense", "--n", "20000", "--trials", "1", "--seed", "0",
+            "--format", "json", "--out", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    wall = time.perf_counter() - start
+    rss = peak_rss_mb()
+    record_property("wall_s", round(wall, 2))
+    record_property("ru_maxrss_mb", round(rss))
+    print(f"\nsimulate --regime dense --n 20000 --trials 1: {wall:.2f} s, ru_maxrss {rss:.0f} MB")
+    row = json.loads(out.read_text())["results"][0]
+    assert row["n"] == 20000 and row["case"] == "hold"
