@@ -517,8 +517,9 @@ def sparse_report(
     # batched truncated BFS gives |S(v, r)| for all v at once, and for the
     # lower-bound probes' radii too
     radii = list(probes.radii)
-    sphere_sizes = np.zeros((n, max(radii + [r for _, r in probes.vertex_probes]) + 1), dtype=np.int64)
-    for first, r, which, _ in bfs_per_source(g, np.arange(n), sphere_sizes.shape[1] - 1):
+    depth = max(radii + [r for _, r in probes.vertex_probes])
+    sphere_sizes = np.zeros((n, depth + 1), dtype=np.int64)
+    for first, r, which, _ in bfs_per_source(g, np.arange(n), depth):
         counts = np.bincount(which)
         sphere_sizes[first:first + len(counts), r] = counts
     sizes = sphere_sizes[:, radii]
