@@ -94,21 +94,10 @@ def is_capture(state: GameState) -> bool:
     return state.robber in state.cops
 
 
-def legal_moves(g: GraphView, state: GameState) -> list:
-    """Successor cop multisets (cop turn) or robber vertices (robber turn).
-
-    The cop-turn enumeration is the full product of stay-or-step choices
-    deduplicated to sorted multisets, so it is only meant for desk-scale
-    position counts; the play driver never enumerates it.
-    """
+def legal_moves(g: GraphView, state: GameState) -> list[int]:
+    """The robber's moves on a robber turn: her vertex and its neighbours, sorted."""
     if state.turn == "cops":
-        import itertools
-
-        options = []
-        for c in state.cops:
-            options.append([c] + [int(x) for x in g.adjacency(c)])
-        seen = {tuple(sorted(combo)) for combo in itertools.product(*options)}
-        return sorted(seen)
+        raise ValueError("legal_moves lists robber moves; it was given a cop turn")
     row = [state.robber] + [int(x) for x in g.adjacency(state.robber)]
     return sorted(set(row))
 
@@ -129,15 +118,10 @@ def play(
     cop_strategy: CopStrategy,
     robber_strategy: RobberStrategy,
     horizon: int | None = None,
-    seed: int | None = None,
 ) -> GameResult:
     """Run one game to capture or horizon; horizon defaults to n^2 cop moves."""
     if horizon is None:
         horizon = g.n * g.n
-    if seed is not None and hasattr(cop_strategy, "reset"):
-        cop_strategy.reset(seed)
-    if seed is not None and hasattr(robber_strategy, "reset"):
-        robber_strategy.reset(seed)
 
     cop_list = [int(c) for c in cop_strategy.place(g)]
     for i, c in enumerate(cop_list):

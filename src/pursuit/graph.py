@@ -21,7 +21,6 @@ __all__ = [
     "from_edges",
     "sphere",
     "ball",
-    "set_sphere",
     "set_ball",
     "closed_neighborhood",
     "components",
@@ -47,30 +46,42 @@ UNREACHABLE = np.int32(-1)
 
 
 class GraphView:
-    """Immutable simple undirected graph with CSR adjacency."""
+    """Immutable simple undirected graph, stored only as its CSR adjacency.
+
+    Row v, `indices[indptr[v]:indptr[v + 1]]`, lists v's neighbours in
+    ascending order, so each edge appears in both endpoints' rows; the
+    edge list, edge count, equality and hash are all read off the CSR.
+    """
 
     # `_rows` and `_csr_touched` belong to `bfs_distances`: the packed
     # adjacency rows once built, and the adjacency entries its CSR levels
     # have touched until then.  Equality and hashing ignore both.
-    __slots__ = ("n", "_indptr", "_indices", "_edges", "_rows", "_csr_touched")
+    __slots__ = ("n", "_indptr", "_indices", "_rows", "_csr_touched")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, edges: np.ndarray):
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
         self._indptr = indptr
         self._indices = indices
-        self._edges = edges
-        for a in (self._indptr, self._indices, self._edges):
+        for a in (self._indptr, self._indices):
             a.setflags(write=False)
         self._rows = None
         self._csr_touched = 0
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._indices) // 2
 
     def edges(self) -> np.ndarray:
-        """(m, 2) array of edges with u < v, sorted by (u, v)."""
-        return self._edges
+        """(m, 2) int32 array of edges with u < v, sorted by (u, v).
+
+        Built on each call from the upper half of every CSR row.
+        """
+        src = np.repeat(np.arange(self.n, dtype=np.int32), self._indptr[1:] - self._indptr[:-1])
+        upper = self._indices > src
+        out = np.empty((self.num_edges, 2), dtype=np.int32)
+        out[:, 0] = src[upper]
+        out[:, 1] = self._indices[upper]
+        return out
 
     def adjacency(self, v: int) -> np.ndarray:
         """Sorted neighbor array of v (read-only view)."""
@@ -102,12 +113,14 @@ class GraphView:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphView):
             return NotImplemented
-        return self.n == other.n and self._edges.shape == other._edges.shape and bool(
-            np.array_equal(self._edges, other._edges)
+        return (
+            self.n == other.n
+            and bool(np.array_equal(self._indptr, other._indptr))
+            and bool(np.array_equal(self._indices, other._indices))
         )
 
     def __hash__(self):
-        return hash((self.n, self._edges.tobytes()))
+        return hash((self.n, self._indptr.tobytes(), self._indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"GraphView(n={self.n}, m={self.num_edges})"
@@ -119,6 +132,12 @@ def from_edges(n: int, edge_iter: Iterable[tuple[int, int]] | np.ndarray) -> Gra
     Accepts any iterable of pairs or an (m, 2) integer array, which is
     used as is.  Rejects self-loops, out-of-range endpoints, and
     duplicate edges (either orientation counts as a duplicate).
+
+    Both orientations of every edge become keys src * n + dst in one
+    int64 array, sorted in place: the sorted keys are the CSR rows in
+    order, row v starting at the first key >= v * n, and an edge given
+    twice (in either orientation) shows up as two equal neighbouring
+    keys.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -134,20 +153,18 @@ def from_edges(n: int, edge_iter: Iterable[tuple[int, int]] | np.ndarray) -> Gra
             raise ValueError("edge endpoint out of range")
         if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError("self-loop rejected")
-    # Both orientations of every edge, sorted on the key src*n + dst: the
-    # sorted keys are the CSR rows in order, and an edge given twice (in
-    # either orientation) shows up as two equal neighbouring keys.
-    keys = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
+    m = len(pairs)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(pairs[:, 0], n, out=keys[:m])
+    keys[:m] += pairs[:, 1]
+    np.multiply(pairs[:, 1], n, out=keys[m:])
+    keys[m:] += pairs[:, 0]
     keys.sort()
     if len(keys) > 1 and np.any(keys[1:] == keys[:-1]):
         raise ValueError("duplicate edge rejected")
-    src, dst = np.divmod(keys, max(n, 1))
-    indices = dst.astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    lower = src < indices
-    edges = np.column_stack([src[lower], indices[lower]]).astype(np.int32)
-    return GraphView(n, indptr, indices, edges)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    keys %= max(n, 1)
+    return GraphView(n, indptr, keys.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +470,6 @@ def ball(g: GraphView, v: int, r: int) -> frozenset[int]:
     for layer in layers:
         out.update(int(x) for x in layer)
     return frozenset(out)
-
-
-def set_sphere(g: GraphView, vs: Iterable[int], r: int) -> frozenset[int]:
-    """Vertices at distance exactly r from the set vs (multi-source)."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    layers = bfs_layers(g, list(vs), max_depth=r)
-    if r < len(layers):
-        return frozenset(int(x) for x in layers[r])
-    return frozenset()
 
 
 def set_ball(g: GraphView, vs: Iterable[int], r: int) -> frozenset[int]:

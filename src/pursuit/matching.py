@@ -74,12 +74,16 @@ def max_matching(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
     the result deterministic.  Each augmenting search is a depth-first
     search on an explicit stack, so a long augmenting path costs no
     recursion depth.  Returns left -> right for matched lefts.
+
+    Failed searches share one visited set, cleared after each success: a
+    failed search changes no matching, so every right vertex it reached
+    stays dead until the next augmentation and need not be searched again.
     """
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
+    seen: set[int] = set()
 
     def try_augment(root: int) -> bool:
-        seen: set[int] = set()
         # stack[i] = (left vertex, its unscanned neighbors); via[i] is the
         # right vertex that led from stack[i] to stack[i + 1]
         stack = [(root, iter(adj.get(root, ())))]
@@ -106,8 +110,8 @@ def max_matching(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
         return False
 
     for u in left:
-        if u not in match_l:
-            try_augment(u)
+        if u not in match_l and try_augment(u):
+            seen.clear()
     return match_l
 
 

@@ -10,38 +10,14 @@ rejection until simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import seeds
 from .graph import GraphView, from_edges
 
-__all__ = ["ModelParams", "gnp", "gnm", "random_regular", "RegularRejectionError"]
+__all__ = ["gnp", "gnm", "random_regular", "RegularRejectionError"]
 
 _PAIRING_ATTEMPTS = 1000
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Record of what a generator was asked to produce."""
-
-    model: str
-    n: int
-    p: float | None = None
-    m: int | None = None
-    d: int | None = None
-    seed: int = 0
-
-    def describe(self) -> dict:
-        out = {"model": self.model, "n": self.n, "seed": self.seed}
-        if self.p is not None:
-            out["p"] = self.p
-        if self.m is not None:
-            out["m"] = self.m
-        if self.d is not None:
-            out["d"] = self.d
-        return out
 
 
 def _num_pairs(n: int) -> int:

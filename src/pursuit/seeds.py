@@ -1,15 +1,15 @@
 """Seeded random streams with explicit stream splitting.
 
 Every randomized routine in the package draws from a counter-based
-generator (Philox) keyed by a user seed plus an integer stream id.
-Stream id conventions:
+generator (Philox) keyed by a user seed plus a path of integer stream
+ids.  Stream id conventions:
 
   * model generators use stream 0 of the seed they are handed,
   * repeated trials use stream = trial index,
   * strategies split one stream per team.
 
-Two calls with the same (seed, stream) produce identical draws, and
-distinct streams are statistically independent, so trial i does not
+Two calls with the same (seed, path) produce identical draws, and
+distinct paths are statistically independent, so trial i does not
 depend on how many draws trial i-1 consumed.
 """
 
@@ -17,19 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "substream"]
+__all__ = ["stream"]
 
 
-def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Return the generator for (seed, stream_id)."""
-    if seed < 0 or stream_id < 0:
-        raise ValueError("seed and stream_id must be non-negative")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Generator for a nested stream path, e.g. (trial, team)."""
+def stream(seed: int, *path: int) -> np.random.Generator:
+    """Generator for the stream path under `seed`, e.g. (trial,) or (trial, team)."""
     if seed < 0 or any(p < 0 for p in path):
         raise ValueError("seed and path entries must be non-negative")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))

@@ -11,7 +11,7 @@ continues; missing cops are data, not a crash.
 
 Stream layout (documented so trials are reproducible):
   dense:  stream(seed, 1)=team one, 2=auxiliary, 3=team two, 4=clean-up
-  sparse: substream(seed, i)=team i (1-based), substream(seed, 0)=clean-up
+  sparse: stream(seed, i)=team i (1-based), stream(seed, 0)=clean-up
 
 Every cop, regardless of plan, steps onto the robber whenever she is
 adjacent at its turn; a cop landing on her vertex ends the game, so the
@@ -551,10 +551,10 @@ class SparseStrategy(_TeamStrategy):
         sch = self.schedule
         self._add_team(sorted(self.x_set), "station")
         for i, size in enumerate(sch.team_sizes, start=1):
-            rng = seeds.substream(self.seed, i)
+            rng = seeds.stream(self.seed, i)
             team = self._add_team(_sample_team(g.n, min(1.0, size / g.n), rng), f"team{i}")
             self.teams.append(team)
-        rng = seeds.substream(self.seed, 0)
+        rng = seeds.stream(self.seed, 0)
         k = min(sch.cleanup_size, g.n)
         self.cleanup = self._add_team(sorted(int(x) for x in rng.choice(g.n, size=k, replace=False)), "cleanup")
         self.meta["teams"] = [len(t) for t in self.teams]

@@ -5,8 +5,9 @@ data structures than the library: dict-and-set BFS instead of CSR
 arrays, Hall subset enumeration instead of augmenting paths, bounded
 minimax instead of retrograde tables, mask enumeration instead of
 generators.  The one retrograde here is a list-and-dict level loop, the
-reference for the solver's array sweep.  Frozen constants carry a
-comment saying how they were computed.
+reference for the solver's array sweep, and the one augmenting-path
+matching is Kuhn's per-search loop, the reference for `max_matching`.
+Frozen constants carry a comment saying how they were computed.
 """
 
 from __future__ import annotations
@@ -253,6 +254,46 @@ def matching_size_backtracking(adj: dict[int, list[int]], left: list[int]) -> in
         return best
 
     return go(0, 0)
+
+
+def kuhn_fresh_seen(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
+    """Kuhn's matching with a new visited set for every augmenting search.
+
+    The plain textbook loop: the reference for `max_matching`, which keeps
+    one visited set across failed searches.  Same stack search, same
+    scan order, so the two must agree pair for pair, in order.
+    """
+    match_l: dict[int, int] = {}
+    match_r: dict[int, int] = {}
+
+    def try_augment(root: int) -> bool:
+        seen: set[int] = set()
+        stack = [(root, iter(adj.get(root, ())))]
+        via: list[int] = []
+        while stack:
+            u, rest = stack[-1]
+            for w in rest:
+                if w in seen:
+                    continue
+                seen.add(w)
+                if w not in match_r:
+                    for (x, _), y in zip(reversed(stack), [w] + via[::-1]):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+                via.append(w)
+                stack.append((match_r[w], iter(adj.get(match_r[w], ()))))
+                break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
+        return False
+
+    for u in left:
+        if u not in match_l:
+            try_augment(u)
+    return match_l
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from pursuit.game import (
     GameState,
     IllegalMoveError,
@@ -72,7 +73,10 @@ class TestState:
     def test_legal_moves_cops(self):
         g = path_graph(3)
         s = GameState(cops=(1,), robber=2, turn="cops", step=0)
-        assert legal_moves(g, s) == [(0,), (1,), (2,)]
+        # a cop turn's successor multisets are enumerated only by the oracle
+        assert oracles.MinimaxOracle(g, 0).cop_moves(s.cops) == [(0,), (1,), (2,)]
+        with pytest.raises(ValueError, match="cop turn"):
+            legal_moves(g, s)
 
 
 class TestPlay:

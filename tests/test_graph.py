@@ -1,5 +1,7 @@
 """Graph core: construction, BFS kernels, serialization, named graphs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,32 @@ class TestConstruction:
         b = from_edges(4, [(0, 1), (2, 3)])
         assert a == b
         assert hash(a) == hash(b)
+        # the same edges in another order and orientation, and a graph
+        # against its edge-list round trip
+        pairs = seeded_gnp_with_isolated(60, 0.2, 3)
+        rng = np.random.default_rng(3)
+        shuffled = pairs[rng.permutation(len(pairs))][:, ::-1]
+        g = from_edges(60, pairs)
+        for other in (from_edges(60, shuffled), parse_edge_list_text(to_edge_list_text(g))):
+            assert other == g and hash(other) == hash(g)
+        assert a != from_edges(4, [(0, 1), (1, 2)]) and a != from_edges(5, [(0, 1), (2, 3)])
+
+    def test_from_edges_keeps_only_the_csr(self):
+        # a dense G(n, p) with about 770k edges; its CSR takes 6.2 MB
+        n = 3000
+        pairs = seeded_gnp_with_isolated(n, 0.171, 5, isolated=())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            g = from_edges(n, pairs)
+            retained, peak = (x - before for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        csr_bytes = sum(a.nbytes for a in g.csr())
+        # the two arrays' buffers, give or take their Python objects
+        assert abs(retained - csr_bytes) < 4096, (retained, csr_bytes)
+        assert peak <= 5 * csr_bytes, (peak, csr_bytes)
 
     def test_degrees(self):
         g = star_graph(5)
@@ -283,7 +311,7 @@ class TestKernelOnRandomGraphs:
 
 def fresh_view(g):
     """A copy of g with no packed rows and no search history."""
-    return GraphView(g.n, *g.csr(), g.edges())
+    return GraphView(g.n, *g.csr())
 
 
 def with_packed_rows(g):

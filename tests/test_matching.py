@@ -71,6 +71,20 @@ class TestMaxMatching:
         m = max_matching(adj, list(range(n - 1, -1, -1)))
         assert m == {i: i for i in range(n)}
 
+    def test_shared_seen_matches_fresh_seen_kuhn(self):
+        # keeping the visited set across failed searches must not change
+        # a single pair, nor the order the pairs were matched in; about
+        # half the instances have more lefts than rights, so searches fail
+        rng = np.random.default_rng(2024)
+        for trial in range(3000):
+            nl, nr = (int(x) for x in rng.integers(1, 40, size=2))
+            mask = rng.random((nl, nr)) < rng.choice([0.03, 0.08, 0.2, 0.5])
+            adj = {u: [int(w) for w in rng.permutation(np.flatnonzero(mask[u]))] for u in range(nl)}
+            left = [int(u) for u in rng.permutation(nl)]
+            got = max_matching(adj, left)
+            want = oracles.kuhn_fresh_seen(adj, left)
+            assert list(got.items()) == list(want.items()), trial
+
     def test_size_matches_scipy(self):
         rng = np.random.default_rng(7)
         for trial in range(40):

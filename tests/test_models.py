@@ -9,7 +9,6 @@ import pytest
 import oracles
 from pursuit.graph import bfs_distances
 from pursuit.models import (
-    ModelParams,
     RegularRejectionError,
     gnm,
     gnp,
@@ -141,10 +140,5 @@ class TestRandomRegular:
 
 
 class TestModelParams:
-    def test_describe(self):
-        mp = ModelParams(model="gnp", n=10, p=0.5, seed=3)
-        d = mp.describe()
-        assert d["model"] == "gnp" and d["n"] == 10
-
     def test_rejection_error_is_raising_type(self):
         assert issubclass(RegularRejectionError, RuntimeError)
