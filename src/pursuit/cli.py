@@ -61,12 +61,12 @@ from .graph import (
 from .models import gnm, gnp, random_regular
 from .solver import BudgetError, is_copwin_dismantlable, solve_k
 from .strategies import (
+    DenseStrategy,
     DenseStrategyConfig,
+    GreedyRobber,
     ScheduleError,
-    dense_strategy,
+    SparseStrategy,
     radius_schedule,
-    robber_greedy,
-    sparse_strategy,
 )
 
 DEFAULT_HORIZON = 400
@@ -168,8 +168,8 @@ def _dense_trial(task: dict) -> dict:
     gs, ss = _trial_entropy(seed, trial, salt=1)
     p = min(1.0, d / (n - 1))
     g = gnp(n, p, gs)
-    strat = dense_strategy(g, DenseStrategyConfig(C=C, seed=ss))
-    res = play(g, strat, robber_greedy(), horizon=horizon)
+    strat = DenseStrategy(g, DenseStrategyConfig(C=C, seed=ss))
+    res = play(g, strat, GreedyRobber(), horizon=horizon)
     meta = res.meta
     return {
         "trial": trial,
@@ -216,8 +216,8 @@ def _sparse_trial(task: dict) -> dict:
         return row
     density_eps = min(1.0, max(0.05, d / math.log(n) - 0.5))
     x_set = low_degree_set(g, density_eps, d)
-    strat = sparse_strategy(g, sched, x_set, seed=ss)
-    res = play(g, strat, robber_greedy(), horizon=horizon)
+    strat = SparseStrategy(g, sched, x_set, seed=ss)
+    res = play(g, strat, GreedyRobber(), horizon=horizon)
     meta = res.meta
     row.update(
         cops_used=meta.get("budget_total"),

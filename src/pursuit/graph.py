@@ -19,11 +19,6 @@ import numpy as np
 __all__ = [
     "GraphView",
     "from_edges",
-    "sphere",
-    "ball",
-    "set_ball",
-    "closed_neighborhood",
-    "components",
     "bfs_distances",
     "bfs_layers",
     "bfs_per_source",
@@ -451,66 +446,14 @@ def bfs_layers(g: GraphView, sources: Sequence[int], max_depth: int | None = Non
     return [np.flatnonzero(dist == r) for r in range(int(dist.max(initial=-1)) + 1)]
 
 
-def sphere(g: GraphView, v: int, r: int) -> frozenset[int]:
-    """Vertices at distance exactly r from v."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    layers = bfs_layers(g, [v], max_depth=r)
-    if r < len(layers):
-        return frozenset(int(x) for x in layers[r])
-    return frozenset()
-
-
-def ball(g: GraphView, v: int, r: int) -> frozenset[int]:
-    """Vertices at distance at most r from v."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    layers = bfs_layers(g, [v], max_depth=r)
-    out: set[int] = set()
-    for layer in layers:
-        out.update(int(x) for x in layer)
-    return frozenset(out)
-
-
-def set_ball(g: GraphView, vs: Iterable[int], r: int) -> frozenset[int]:
-    """Vertices at distance at most r from the set vs."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    layers = bfs_layers(g, list(vs), max_depth=r)
-    out: set[int] = set()
-    for layer in layers:
-        out.update(int(x) for x in layer)
-    return frozenset(out)
-
-
-def closed_neighborhood(g: GraphView, vs: Iterable[int]) -> frozenset[int]:
-    """The set vs together with every neighbor of a member."""
-    return set_ball(g, vs, 1)
-
-
-def components(g: GraphView) -> list[tuple[int, ...]]:
-    """Connected components, each sorted, ordered by smallest member."""
-    seen = np.zeros(g.n, dtype=bool)
-    out: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        dist = bfs_distances(g, [v])
-        comp = np.flatnonzero(dist >= 0)
-        seen[comp] = True
-        out.append(tuple(int(x) for x in comp))
-    return out
-
-
 def shortest_path(
     g: GraphView, src: int, dst: int, max_depth: int | None = None
 ) -> list[int] | None:
     """One shortest path src -> dst, ties broken toward smaller vertex ids.
 
-    Walks parents from dst back to src over a BFS distance field, always
-    picking the smallest-id neighbor one layer closer, so the result is
-    deterministic.  Returns None when dst is unreachable or farther than
-    max_depth.
+    Walks parents from dst back to src over a BFS distance field, each
+    step by `_step_toward`, so the result is deterministic.  Returns None
+    when dst is unreachable or farther than max_depth.
     """
     if src == dst and 0 <= src < g.n:
         return [src]
@@ -518,14 +461,19 @@ def shortest_path(
     if dist[dst] < 0:
         return None
     path = [dst]
-    cur = dst
-    while cur != src:
-        row = g.adjacency(cur)
-        closer = row[dist[row] == dist[cur] - 1]
-        cur = int(closer[0])
-        path.append(cur)
+    while path[-1] != src:
+        path.append(_step_toward(g, dist, path[-1]))
     path.reverse()
     return path
+
+
+def _step_toward(g: GraphView, dist: np.ndarray, v: int) -> int:
+    """The smallest-id neighbour of v one level closer to the sources of `dist`.
+
+    v must be reached at distance at least 1, so such a neighbour exists.
+    """
+    row = g.adjacency(v)
+    return int(row[dist[row] == dist[v] - 1][0])
 
 
 def two_nearest_source_distances(

@@ -31,6 +31,7 @@ from . import seeds
 from .game import GameState
 from .graph import (
     GraphView,
+    _step_toward,
     bfs_distances,
     bfs_per_source,
     shortest_path,
@@ -47,12 +48,6 @@ __all__ = [
     "RoundState",
     "dense_radius",
     "radius_schedule",
-    "dense_strategy",
-    "sparse_strategy",
-    "robber_greedy",
-    "robber_optimal",
-    "cop_greedy",
-    "cop_optimal",
     "GreedyRobber",
     "TableRobber",
     "GreedyCops",
@@ -77,7 +72,12 @@ class _Cop:
 
 
 class _TeamStrategy:
-    """Base for team strategies: registry, walking, and the grab rule."""
+    """Base for team strategies: registry, walking, and the grab rule.
+
+    Both strategies plan with the same three team operations: a
+    radius-capped matching cover, a disjoint-reservoir claim, and the
+    union of spheres around a set of centres.
+    """
 
     def __init__(self, g: GraphView):
         self.g = g
@@ -108,6 +108,57 @@ class _TeamStrategy:
                  "distance": len(cop.path), "allotted": cap}
             )
         return True
+
+    def _cover(self, team: list[_Cop], targets, cap: int, failure: dict, audit: bool) -> dict[int, int]:
+        """Match the targets to team cops within `cap` steps and dispatch them.
+
+        Returns destination -> cop id for every dispatched cop.  An
+        infeasible matching appends `failure` with the deficiency to the
+        failures; a `violation` key in it asks for Hall's witness too.
+        """
+        ys = tuple(c.pos for c in team)
+        res = assign_within_radius(self.g, AssignmentProblem(tuple(sorted(targets)), ys, cap))
+        if not res.feasible:
+            record = dict(failure, deficiency=res.deficiency)
+            if "violation" in record:
+                record["violation"] = list(res.violation)
+            self.meta["failures"].append(record)
+        covered = {}
+        for dest, slot in res.assignment.items():
+            if self._dispatch(team[slot], dest, cap, audit):
+                covered[dest] = team[slot].cid
+        return covered
+
+    def _claim_reservoirs(
+        self, team: list[_Cop], family: dict[int, frozenset[int]], cap: int
+    ) -> dict[int, int]:
+        """Send each centre u, ascending, the first idle team cop sitting in W(u).
+
+        W(u) is scanned in ascending vertex order and a vertex's cops in
+        team order; a cop goes to one centre at most.  Returns
+        destination -> cop id for every dispatched cop.
+        """
+        idle: dict[int, list[_Cop]] = {}
+        for cop in team:
+            if not cop.path:
+                idle.setdefault(cop.pos, []).append(cop)
+        covered = {}
+        for u in sorted(family):
+            w = next((w for w in sorted(family[u]) if idle.get(w)), None)
+            if w is None:
+                continue
+            cop = idle[w].pop(0)
+            if self._dispatch(cop, u, cap):
+                covered[u] = cop.cid
+        return covered
+
+    def _sphere_union(self, centres: list[int], r: int) -> set[int]:
+        """The union of the spheres S(u, r) over the sorted centres u."""
+        spheres = [np.zeros(0, dtype=np.int64)]
+        for _, depth, _, verts in bfs_per_source(self.g, centres, r):
+            if depth == r:
+                spheres.append(verts)
+        return set(np.unique(np.concatenate(spheres)).tolist())
 
     def _step_all(self, robber: int) -> list[int]:
         """Advance walkers one edge; anyone adjacent to the robber grabs."""
@@ -253,21 +304,13 @@ class DenseStrategy(_TeamStrategy):
 
     # -- planning pieces
 
-    def _anchor_ball(self) -> np.ndarray:
-        """Mask of N(anchor, r); unreachable vertices (distance -1) stay out."""
-        return (self.anchor_dist >= 0) & (self.anchor_dist <= self.r)
+    def _anchor_ball(self) -> list[int]:
+        """N(anchor, r), ascending; unreachable vertices (distance -1) stay out."""
+        return np.flatnonzero((self.anchor_dist >= 0) & (self.anchor_dist <= self.r)).tolist()
 
     def _plan_saturate(self, v: int) -> None:
-        targets = sorted(int(x) for x in np.flatnonzero(self._anchor_ball()))
-        ys = tuple(c.pos for c in self.team1)
-        res = assign_within_radius(self.g, AssignmentProblem(tuple(targets), ys, self.r + 1))
-        if not res.feasible:
-            self.meta["failures"].append(
-                {"kind": "ball-cover-deficient", "deficiency": res.deficiency,
-                 "violation": list(res.violation)}
-            )
-        for dest, slot in res.assignment.items():
-            self._dispatch(self.team1[slot], dest, self.r + 1)
+        self._cover(self.team1, self._anchor_ball(), self.r + 1,
+                    {"kind": "ball-cover-deficient", "violation": None}, True)
 
     def _plan_hold(self, v: int) -> None:
         team1_pos = {c.pos for c in self.team1}
@@ -278,87 +321,36 @@ class DenseStrategy(_TeamStrategy):
             if any(int(w) in team1_pos for w in self.g.adjacency(u)):
                 continue
             undominated.append(u)
-        targets = tuple(sorted(set(undominated) | {v}))
         self.meta["undominated"] = len(undominated)
-        ys = tuple(c.pos for c in self.team2)
-        res = assign_within_radius(self.g, AssignmentProblem(targets, ys, 2))
-        if not res.feasible:
-            self.meta["failures"].append(
-                {"kind": "hold-cover-deficient", "deficiency": res.deficiency,
-                 "violation": list(res.violation)}
-            )
-        for dest, slot in res.assignment.items():
-            self._dispatch(self.team2[slot], dest, 2)
+        self._cover(self.team2, set(undominated) | {v}, 2,
+                    {"kind": "hold-cover-deficient", "violation": None}, True)
         # team one stands still; the grab rule does the capturing
 
     def _plan_sphere_relay(self, v: int) -> None:
         fam = build_disjoint_sphere_family(self.g, v, self.r)
-        by_pos = {}
-        for cop in self.team1:
-            by_pos.setdefault(cop.pos, []).append(cop)
-        taken: set[int] = set()
-        covered = []
-        for u in sorted(fam.family):
-            picked = None
-            for w in sorted(fam.family[u]):
-                for cop in by_pos.get(w, ()):  # first free cop sitting in W(u)
-                    if cop.cid not in taken:
-                        picked = cop
-                        break
-                if picked:
-                    break
-            if picked is None:
-                continue
-            taken.add(picked.cid)
-            if self._dispatch(picked, u, self.r + 1):
-                covered.append(u)
+        covered = self._claim_reservoirs(self.team1, fam.family, self.r + 1)
         sphere_v = set(int(x) for x in np.flatnonzero(self.anchor_dist == self.r))
         self.holes = sphere_v - set(covered)
         self.meta["sphere_size"] = len(sphere_v)
         self.meta["holes"] = len(self.holes)
         # auxiliary guard of the whole ball at radius r+2
-        targets = tuple(sorted(int(x) for x in np.flatnonzero(self._anchor_ball())))
-        ys = tuple(c.pos for c in self.aux)
-        res = assign_within_radius(self.g, AssignmentProblem(targets, ys, self.r + 2))
-        if not res.feasible:
-            self.meta["failures"].append(
-                {"kind": "aux-cover-deficient", "deficiency": res.deficiency}
-            )
-        for dest, slot in res.assignment.items():
-            self._dispatch(self.aux[slot], dest, self.r + 2)
+        self._cover(self.aux, self._anchor_ball(), self.r + 2, {"kind": "aux-cover-deficient"}, True)
 
     def _release_team2(self, z: int) -> None:
         half_up = (self.r + 1) // 2
         half_dn = self.r // 2
         zdist = bfs_distances(self.g, [z], max_depth=half_up)
         exits = sorted(u for u in self.holes if zdist[u] == half_up)
-        union: set[int] = set()
-        for s in exits:
-            sd = bfs_distances(self.g, [s], max_depth=half_dn + 1)
-            union.update(int(x) for x in np.flatnonzero(sd == half_dn + 1))
+        union = self._sphere_union(exits, half_dn + 1)
         self.meta["relay_exit_count"] = len(exits)
         self.meta["relay_union_size"] = len(union)
-        ys = tuple(c.pos for c in self.team2)
-        res = assign_within_radius(self.g, AssignmentProblem(tuple(sorted(union)), ys, self.r + 2))
-        if not res.feasible:
-            self.meta["failures"].append(
-                {"kind": "relay-cover-deficient", "deficiency": res.deficiency}
-            )
-        for dest, slot in res.assignment.items():
-            self._dispatch(self.team2[slot], dest, self.r + 2)
+        self._cover(self.team2, union, self.r + 2, {"kind": "relay-cover-deficient"}, True)
 
     def _release_cleanup(self, s: int) -> None:
         half_dn = self.r // 2
         sd = bfs_distances(self.g, [s], max_depth=half_dn + 1)
-        targets = tuple(sorted(int(x) for x in np.flatnonzero(sd >= 0)))
-        ys = tuple(c.pos for c in self.cleanup)
-        res = assign_within_radius(self.g, AssignmentProblem(targets, ys, self.g.n))
-        if not res.feasible:
-            self.meta["failures"].append(
-                {"kind": "cleanup-deficient", "deficiency": res.deficiency}
-            )
-        for dest, slot in res.assignment.items():
-            self._dispatch(self.cleanup[slot], dest, self.g.n, audit=False)
+        self._cover(self.cleanup, np.flatnonzero(sd >= 0).tolist(), self.g.n,
+                    {"kind": "cleanup-deficient"}, False)
 
     def move(self, g: GraphView, state: GameState) -> list[int]:
         robber = state.robber
@@ -381,11 +373,6 @@ class DenseStrategy(_TeamStrategy):
                 self.cleanup_done = True
                 self._release_cleanup(robber)
         return self._step_all(robber)
-
-
-def dense_strategy(g: GraphView, cfg: DenseStrategyConfig) -> DenseStrategy:
-    """Build the dense-regime cop strategy for one game."""
-    return DenseStrategy(g, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -610,49 +597,17 @@ class SparseStrategy(_TeamStrategy):
         team = self.teams[i - 1]
         rs.team_size = len(team)
         r_next = self._radius(i + 1)
-        spheres = [np.zeros(0, dtype=np.int64)]
-        for _, r, _, verts in bfs_per_source(self.g, sorted(self.exits), r_next):
-            if r == r_next:
-                spheres.append(verts)
-        dst = set(np.unique(np.concatenate(spheres)).tolist()) - self.x_set
+        dst = self._sphere_union(sorted(self.exits), r_next) - self.x_set
         rs.dst_size = len(dst)
         if not dst:
             self.covered = {}
             return
         cap = self._radius(i) + r_next + 1
-        covered: dict[int, int] = {}
         if i == len(self.teams):
             # final team: cover everything by matching within the cap
-            ys = tuple(c.pos for c in team)
-            res = assign_within_radius(self.g, AssignmentProblem(tuple(sorted(dst)), ys, cap))
-            if not res.feasible:
-                self.meta["failures"].append(
-                    {"kind": "final-cover-deficient", "round": i,
-                     "deficiency": res.deficiency}
-                )
-            for dest, slot in res.assignment.items():
-                if self._dispatch(team[slot], dest, cap):
-                    covered[dest] = team[slot].cid
+            covered = self._cover(team, dst, cap, {"kind": "final-cover-deficient", "round": i}, True)
         else:
-            family = grow_disjoint_family(self.g, sorted(dst), cap)
-            by_pos: dict[int, list[_Cop]] = {}
-            for cop in team:
-                by_pos.setdefault(cop.pos, []).append(cop)
-            taken: set[int] = set()
-            for w in sorted(family):
-                picked = None
-                for x in sorted(family[w]):
-                    for cop in by_pos.get(x, ()):
-                        if cop.cid not in taken and not cop.path:
-                            picked = cop
-                            break
-                    if picked:
-                        break
-                if picked is None:
-                    continue
-                taken.add(picked.cid)
-                if self._dispatch(picked, w, cap):
-                    covered[w] = picked.cid
+            covered = self._claim_reservoirs(team, grow_disjoint_family(self.g, sorted(dst), cap), cap)
         rs.covered = len(covered)
         self.covered = covered
 
@@ -739,16 +694,6 @@ class SparseStrategy(_TeamStrategy):
         return self._step_all(robber)
 
 
-def sparse_strategy(
-    g: GraphView,
-    schedule: RadiusSchedule,
-    x_set: frozenset[int] | set[int],
-    seed: int = 0,
-) -> SparseStrategy:
-    """Build the sparse-regime cop strategy for one game."""
-    return SparseStrategy(g, schedule, x_set, seed)
-
-
 # ---------------------------------------------------------------------------
 # Robber policies and small cop baselines
 
@@ -791,10 +736,6 @@ class GreedyRobber:
         return best_v
 
 
-def robber_greedy() -> GreedyRobber:
-    return GreedyRobber()
-
-
 class TableRobber:
     """Solver-optimal robber: survives iff the cop count is deficient,
     otherwise maximizes the capture time."""
@@ -818,10 +759,6 @@ class TableRobber:
         return min(self.table.nbh[state.robber], key=lambda v: (self._key(ci, v, g.n), v))
 
 
-def robber_optimal(table: PositionTable) -> TableRobber:
-    return TableRobber(table)
-
-
 class GreedyCops:
     """Each cop steps along a shortest path toward the robber."""
 
@@ -835,20 +772,8 @@ class GreedyCops:
 
     def move(self, g: GraphView, state: GameState) -> list[int]:
         rd = bfs_distances(g, [state.robber])
-        out = []
-        for pos in self.current:
-            if rd[pos] <= 0:
-                out.append(pos)
-                continue
-            row = g.adjacency(pos)
-            closer = row[rd[row] == rd[pos] - 1]
-            out.append(int(closer[0]) if len(closer) else pos)
-        self.current = out
-        return list(out)
-
-
-def cop_greedy(placement: list[int]) -> GreedyCops:
-    return GreedyCops(placement)
+        self.current = [pos if rd[pos] <= 0 else _step_toward(g, rd, pos) for pos in self.current]
+        return list(self.current)
 
 
 class TableCops:
@@ -891,7 +816,3 @@ class TableCops:
             if ok:
                 return cand
         raise RuntimeError("solver successor not reachable by per-cop moves")
-
-
-def cop_optimal(table: PositionTable) -> TableCops:
-    return TableCops(table)

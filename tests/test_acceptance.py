@@ -45,11 +45,11 @@ from pursuit.matching import AssignmentProblem, assign_within_radius
 from pursuit.models import gnp
 from pursuit.solver import is_copwin_dismantlable, solve_k
 from pursuit.strategies import (
+    DenseStrategy,
     DenseStrategyConfig,
-    dense_strategy,
+    GreedyRobber,
+    SparseStrategy,
     radius_schedule,
-    robber_greedy,
-    sparse_strategy,
 )
 
 
@@ -449,8 +449,8 @@ def test_11_strategy_soundness():
         gs, ss = _trial_entropy(0, trial, salt=1)
         g = gnp(n, min(1.0, d / (n - 1)), gs)
         for C in sweep:
-            strat = dense_strategy(g, DenseStrategyConfig(C=C, seed=ss))
-            res = play(g, strat, robber_greedy(), horizon=400)
+            strat = DenseStrategy(g, DenseStrategyConfig(C=C, seed=ss))
+            res = play(g, strat, GreedyRobber(), horizon=400)
             if validate_trace(g, res):
                 trace_failures += 1
             if any(
@@ -472,8 +472,8 @@ def test_11_strategy_soundness():
         x_set = low_degree_set(g, 0.6, d2)
         for C, eps0, F in combos:
             sch = radius_schedule(n2, d2, eps0, F, C)
-            strat = sparse_strategy(g, sch, x_set, seed=ss)
-            res = play(g, strat, robber_greedy(), horizon=400)
+            strat = SparseStrategy(g, sch, x_set, seed=ss)
+            res = play(g, strat, GreedyRobber(), horizon=400)
             if validate_trace(g, res):
                 trace_failures += 1
             if any(

@@ -14,12 +14,7 @@ from pursuit.game import (
 )
 from pursuit.graph import cycle_graph, from_edges, path_graph, petersen_graph
 from pursuit.solver import solve_k
-from pursuit.strategies import (
-    cop_greedy,
-    cop_optimal,
-    robber_greedy,
-    robber_optimal,
-)
+from pursuit.strategies import GreedyCops, GreedyRobber, TableCops, TableRobber
 
 
 class Scripted:
@@ -102,7 +97,7 @@ class TestPlay:
 
     def test_horizon_survival(self):
         g = cycle_graph(6)
-        res = play(g, cop_greedy([0]), robber_greedy(), horizon=20)
+        res = play(g, GreedyCops([0]), GreedyRobber(), horizon=20)
         assert res.winner == "robber-survived"
         assert res.capture_time is None
 
@@ -132,13 +127,13 @@ class TestTraceValidation:
     def test_valid_traces_pass(self):
         g = petersen_graph()
         t = solve_k(g, 3)
-        res = play(g, cop_optimal(t), robber_optimal(t))
+        res = play(g, TableCops(t), TableRobber(t))
         assert res.winner == "cops"
         assert validate_trace(g, res) == []
 
     def test_survival_trace_passes(self):
         g = cycle_graph(7)
-        res = play(g, cop_greedy([0]), robber_greedy(), horizon=15)
+        res = play(g, GreedyCops([0]), GreedyRobber(), horizon=15)
         assert res.winner == "robber-survived"
         assert validate_trace(g, res) == []
 
@@ -169,7 +164,7 @@ class TestStrategiesOnSmallGraphs:
     def test_optimal_beats_greedy_robber_when_winning(self):
         g = cycle_graph(5)
         t = solve_k(g, 2)
-        res = play(g, cop_optimal(t), robber_greedy())
+        res = play(g, TableCops(t), GreedyRobber())
         assert res.winner == "cops"
         best = t.best_placement()
         assert res.capture_time <= best[1]
@@ -177,12 +172,12 @@ class TestStrategiesOnSmallGraphs:
     def test_optimal_robber_survives_deficit(self):
         g = petersen_graph()
         t = solve_k(g, 2)
-        res = play(g, cop_greedy([0, 5]), robber_optimal(t), horizon=50)
+        res = play(g, GreedyCops([0, 5]), TableRobber(t), horizon=50)
         assert res.winner == "robber-survived"
 
     def test_greedy_cop_catches_on_path(self):
         g = path_graph(6)
-        res = play(g, cop_greedy([0]), robber_greedy(), horizon=30)
+        res = play(g, GreedyCops([0]), GreedyRobber(), horizon=30)
         assert res.winner == "cops"
 
     def test_metadata_passthrough(self):

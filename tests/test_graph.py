@@ -10,13 +10,10 @@ import oracles
 import pursuit.graph
 from pursuit.graph import (
     GraphView,
-    ball,
     bfs_distances,
     bfs_layers,
     bfs_per_source,
-    closed_neighborhood,
     complete_graph,
-    components,
     cycle_graph,
     from_edges,
     grid_graph,
@@ -24,9 +21,7 @@ from pursuit.graph import (
     path_graph,
     petersen_graph,
     read_edge_list,
-    set_ball,
     shortest_path,
-    sphere,
     star_graph,
     to_edge_list_text,
     two_nearest_source_distances,
@@ -140,21 +135,10 @@ class TestBFS:
         layers = bfs_layers(g, [0])
         assert [sorted(x) for x in layers] == [[0], [1], [2], [3], [4]]
 
-    def test_sphere_and_ball(self):
-        g = cycle_graph(6)
-        assert sphere(g, 0, 2) == frozenset({2, 4})
-        assert ball(g, 0, 2) == frozenset({0, 1, 2, 4, 5})
-        assert set_ball(g, [0, 3], 1) == frozenset({0, 1, 2, 3, 4, 5})
-        assert closed_neighborhood(g, [0]) == frozenset({0, 1, 5})
-
     def test_unreachable_is_minus_one(self):
         g = from_edges(4, [(0, 1)])
         dist = bfs_distances(g, [0])
         assert dist[2] == -1 and dist[3] == -1
-
-    def test_components(self):
-        g = from_edges(6, [(0, 1), (2, 3), (3, 4)])
-        assert components(g) == [(0, 1), (2, 3, 4), (5,)]
 
     @settings(max_examples=80, deadline=None)
     @given(random_graph_strategy())

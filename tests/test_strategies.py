@@ -11,16 +11,15 @@ from pursuit.models import gnp
 from pursuit import strategies
 from pursuit.solver import solve_k
 from pursuit.strategies import (
+    DenseStrategy,
     DenseStrategyConfig,
+    GreedyCops,
     GreedyRobber,
     ScheduleError,
-    cop_greedy,
+    SparseStrategy,
+    TableRobber,
     dense_radius,
-    dense_strategy,
     radius_schedule,
-    robber_greedy,
-    robber_optimal,
-    sparse_strategy,
 )
 
 
@@ -95,7 +94,7 @@ class TestDenseStrategy:
         n = 500
         d = math.log(n) ** 3
         g = gnp(n, min(1.0, d / (n - 1)), 3)
-        strat = dense_strategy(g, DenseStrategyConfig(C=6.0, seed=1))
+        strat = DenseStrategy(g, DenseStrategyConfig(C=6.0, seed=1))
         assert strat.case == "saturate"
         assert strat.r == 0
 
@@ -103,7 +102,7 @@ class TestDenseStrategy:
         # sqrt(n) <= d < sqrt(n) log n with r = 0
         n = 400
         g = gnp(n, 45.0 / (n - 1), 11)
-        strat = dense_strategy(g, DenseStrategyConfig(C=8.0, seed=2))
+        strat = DenseStrategy(g, DenseStrategyConfig(C=8.0, seed=2))
         assert strat.r == 0
         assert strat.case == "hold"
 
@@ -111,7 +110,7 @@ class TestDenseStrategy:
         # r >= 1: d well below sqrt(n)
         n = 2500
         g = gnp(n, 9.0 / (n - 1), 19)
-        strat = dense_strategy(g, DenseStrategyConfig(C=8.0, seed=3))
+        strat = DenseStrategy(g, DenseStrategyConfig(C=8.0, seed=3))
         assert strat.r >= 1
         assert strat.case == "sphere-relay"
 
@@ -119,8 +118,8 @@ class TestDenseStrategy:
         n = 600
         d = math.log(n) ** 3
         g = gnp(n, min(1.0, d / (n - 1)), 23)
-        strat = dense_strategy(g, DenseStrategyConfig(C=8.0, seed=5))
-        res = play(g, strat, robber_greedy(), horizon=50)
+        strat = DenseStrategy(g, DenseStrategyConfig(C=8.0, seed=5))
+        res = play(g, strat, GreedyRobber(), horizon=50)
         assert res.winner == "cops"
         assert res.capture_time <= 2
         assert validate_trace(g, res) == []
@@ -128,16 +127,16 @@ class TestDenseStrategy:
     def test_hold_subcase_plays_legally(self):
         n = 400
         g = gnp(n, 45.0 / (n - 1), 29)
-        strat = dense_strategy(g, DenseStrategyConfig(C=10.0, seed=6))
-        res = play(g, strat, robber_greedy(), horizon=60)
+        strat = DenseStrategy(g, DenseStrategyConfig(C=10.0, seed=6))
+        res = play(g, strat, GreedyRobber(), horizon=60)
         assert validate_trace(g, res) == []
         assert res.meta["case"] == "hold"
 
     def test_relay_case_plays_legally(self):
         n = 2000
         g = gnp(n, 9.0 / (n - 1), 31)
-        strat = dense_strategy(g, DenseStrategyConfig(C=10.0, seed=7))
-        res = play(g, strat, robber_greedy(), horizon=120)
+        strat = DenseStrategy(g, DenseStrategyConfig(C=10.0, seed=7))
+        res = play(g, strat, GreedyRobber(), horizon=120)
         assert validate_trace(g, res) == []
         assert res.meta["case"] == "sphere-relay"
         assert "sphere_size" in res.meta
@@ -146,8 +145,8 @@ class TestDenseStrategy:
         n = 500
         d = math.log(n) ** 3
         g = gnp(n, min(1.0, d / (n - 1)), 37)
-        strat = dense_strategy(g, DenseStrategyConfig(C=8.0, seed=8))
-        res = play(g, strat, robber_greedy(), horizon=50)
+        strat = DenseStrategy(g, DenseStrategyConfig(C=8.0, seed=8))
+        res = play(g, strat, GreedyRobber(), horizon=50)
         for entry in res.meta["assignment_audit"]:
             assert entry["distance"] <= entry["allotted"]
 
@@ -161,7 +160,7 @@ class TestDenseStrategy:
         rest = [(i, i + 1) for i in range(len({v for e in body for v in e}), n - 2)]
         g = from_edges(n, body + rest)
         assert g.degree(n - 1) == 0
-        strat = dense_strategy(g, DenseStrategyConfig(C=math.sqrt(n), seed=1))
+        strat = DenseStrategy(g, DenseStrategyConfig(C=math.sqrt(n), seed=1))
         assert strat.case == case
         cops = strat.place(g)
         moved = strat.move(g, GameState(tuple(sorted(cops)), n - 1, "cops", 0))
@@ -174,14 +173,14 @@ class TestDenseStrategy:
 
         monkeypatch.setattr(strategies, "two_nearest_source_distances", forbidden)
         state = GameState(tuple(sorted(moved)), n - 1, "robber", 1)
-        assert robber_greedy().move(g, state) == n - 1
+        assert GreedyRobber().move(g, state) == n - 1
 
     def test_budget_scales_with_C(self):
         n = 900
         d = math.log(n) ** 3
         g = gnp(n, min(1.0, d / (n - 1)), 41)
-        small = dense_strategy(g, DenseStrategyConfig(C=2.0, seed=9))
-        big = dense_strategy(g, DenseStrategyConfig(C=16.0, seed=9))
+        small = DenseStrategy(g, DenseStrategyConfig(C=2.0, seed=9))
+        big = DenseStrategy(g, DenseStrategyConfig(C=16.0, seed=9))
         small.place(g)
         big.place(g)
         assert len(big.cops) > len(small.cops)
@@ -198,15 +197,15 @@ class TestSparseStrategy:
 
     def test_place_includes_stations(self):
         g, sch, x = self.make()
-        strat = sparse_strategy(g, sch, x, seed=1)
+        strat = SparseStrategy(g, sch, x, seed=1)
         pos = strat.place(g)
         for v in sorted(x):
             assert v in pos
 
     def test_round_bookkeeping(self):
         g, sch, x = self.make(seed=53)
-        strat = sparse_strategy(g, sch, x, seed=2)
-        res = play(g, strat, robber_greedy(), horizon=300)
+        strat = SparseStrategy(g, sch, x, seed=2)
+        res = play(g, strat, GreedyRobber(), horizon=300)
         rounds = res.meta["rounds"]
         assert rounds, "at least one round must be recorded"
         assert rounds[0]["index"] == 1
@@ -220,14 +219,14 @@ class TestSparseStrategy:
         # construction whenever the sphere is nonempty
         for seed in (3, 5, 7):
             g, sch, x = self.make(seed=100 + seed)
-            strat = sparse_strategy(g, sch, x, seed=seed)
-            res = play(g, strat, robber_greedy(), horizon=200)
+            strat = SparseStrategy(g, sch, x, seed=seed)
+            res = play(g, strat, GreedyRobber(), horizon=200)
             assert res.meta["round1_vulnerable"] is True
 
     def test_claimed_destinations_within_reach(self):
         g, sch, x = self.make(seed=57)
-        strat = sparse_strategy(g, sch, x, seed=4)
-        res = play(g, strat, robber_greedy(), horizon=300)
+        strat = SparseStrategy(g, sch, x, seed=4)
+        res = play(g, strat, GreedyRobber(), horizon=300)
         for entry in res.meta["assignment_audit"]:
             assert entry["distance"] <= entry["allotted"]
 
@@ -235,14 +234,14 @@ class TestSparseStrategy:
         wins = 0
         for seed in range(8):
             g, sch, x = self.make(seed=200 + seed)
-            strat = sparse_strategy(g, sch, x, seed=seed)
-            res = play(g, strat, robber_greedy(), horizon=300)
+            strat = SparseStrategy(g, sch, x, seed=seed)
+            res = play(g, strat, GreedyRobber(), horizon=300)
             wins += res.winner == "cops"
         assert wins >= 6
 
     def test_budget_reported(self):
         g, sch, x = self.make(seed=61)
-        strat = sparse_strategy(g, sch, x, seed=5)
+        strat = SparseStrategy(g, sch, x, seed=5)
         pos = strat.place(g)
         assert strat.meta["budget_total"] == len(pos)
         assert strat.meta["cleanup_size"] == min(sch.cleanup_size, g.n)
@@ -280,7 +279,7 @@ class TestRobberPolicies:
     def test_optimal_robber_survives_on_cycle(self):
         g = cycle_graph(8)
         t = solve_k(g, 1)
-        res = play(g, cop_greedy([0]), robber_optimal(t), horizon=40)
+        res = play(g, GreedyCops([0]), TableRobber(t), horizon=40)
         assert res.winner == "robber-survived"
 
     def test_optimal_robber_maximizes_when_losing(self):
@@ -289,7 +288,7 @@ class TestRobberPolicies:
         # and break the tie toward the smallest vertex
         g = path_graph(6)
         t = solve_k(g, 1)
-        rob = robber_optimal(t)
+        rob = TableRobber(t)
         start = rob.choose(g, (0,))
         times = {v: t.steps_to_capture((0,), v, 0) for v in range(6)}
         best = max(times.values())
