@@ -153,7 +153,7 @@ class _TeamStrategy:
         return covered
 
     def _sphere_union(self, centres: list[int], r: int) -> set[int]:
-        """The union of the spheres S(u, r) over the sorted centres u."""
+        """The union of the spheres S(u, r) over the centres u."""
         spheres = [np.zeros(0, dtype=np.int64)]
         for _, depth, _, verts in bfs_per_source(self.g, centres, r):
             if depth == r:
