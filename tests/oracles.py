@@ -75,6 +75,41 @@ def q_set_reference(g: GraphView, v: int, r: int, r_prime: int, d: float) -> tup
     return q, per_a_max
 
 
+
+def masked_bfs_from(adj: list[set[int]], sources, blocked, max_depth=None) -> dict[int, int]:
+    """Distances in the subgraph induced by the unblocked vertices and the
+    sources, up to max_depth."""
+    keep = {v for v in range(len(adj)) if not blocked[v]} | {int(s) for s in sources}
+    sub = [adj[u] & keep if u in keep else set() for u in range(len(adj))]
+    return {v: dv for v, dv in bfs_from(sub, sources).items() if max_depth is None or dv <= max_depth}
+
+
+def disjoint_family_reference(adj: list[set[int]], members, t: int) -> dict[int, frozenset]:
+    """W(w) = {x : d(x, U) <= t, w = min{u in U : d(u, x) = d(x, U)}} for w in U."""
+    members = sorted({int(u) for u in members})
+    per = {u: bfs_from(adj, [u]) for u in members}
+    family = {u: set() for u in members}
+    for x, dx in bfs_from(adj, members).items():
+        if dx <= t:
+            family[min(u for u in members if per[u].get(x) == dx)].add(x)
+    return {u: frozenset(w) for u, w in family.items()}
+
+
+def sphere_family_reference(adj: list[set[int]], v: int, r: int) -> dict[int, frozenset]:
+    """W(u) = {x : d(v, x) > r, u = min{u' in S(v, r) : d(u', x) = r + 1}}
+    for u in S(v, r); empty when S(v, r) is."""
+    dv = bfs_from(adj, [v])
+    sphere = sorted(u for u, du in dv.items() if du == r)
+    per = {u: bfs_from(adj, [u]) for u in sphere}
+    family = {u: set() for u in sphere}
+    for x in range(len(adj)):
+        if dv.get(x, INF) > r:
+            owners = [u for u in sphere if per[u].get(x) == r + 1]
+            if owners:
+                family[owners[0]].add(x)
+    return {u: frozenset(w) for u, w in family.items()}
+
+
 def all_pairs_dist(g: GraphView) -> list[dict[int, int]]:
     adj = adjacency_sets(g)
     return [bfs_from(adj, [s]) for s in range(g.n)]

@@ -26,7 +26,7 @@ from pursuit.expansion import (
     verify_dense_lower,
     verify_witness,
 )
-from pursuit.graph import complete_graph, cycle_graph, from_edges, petersen_graph
+from pursuit.graph import bfs_distances, complete_graph, cycle_graph, from_edges, petersen_graph
 from pursuit.models import gnp
 
 
@@ -116,6 +116,54 @@ class TestSphereFamilies:
         a = grow_disjoint_family(g, [5, 10, 15], 2)
         b = grow_disjoint_family(g, [5, 10, 15], 2)
         assert a == b
+
+
+# sparse: mean degree 6 with three isolated vertices; dense: past
+# the packed-row threshold, so the family builders' searches run on rows
+FAMILY_GRAPHS = {"sparse": (300, 0.02, 31), "dense": (200, 0.5, 32)}
+
+
+def family_graph(kind):
+    n, p, seed = FAMILY_GRAPHS[kind]
+    g = gnp(n, p, seed)
+    if kind == "dense":
+        while g._rows is None:
+            bfs_distances(g, [0])
+    return g
+
+
+class TestFamiliesAgainstDefinitions:
+    @pytest.mark.parametrize("kind", sorted(FAMILY_GRAPHS))
+    def test_grow_disjoint_family(self, kind):
+        g = family_graph(kind)
+        adj = oracles.adjacency_sets(g)
+        rng = np.random.default_rng(FAMILY_GRAPHS[kind][2])
+        isolated = [v for v in range(g.n) if not adj[v]]
+        member_sets = [[], [7], [7, 7, 3, 3], isolated[:2] + [1, 2]]
+        member_sets += [rng.integers(0, g.n, size=k).tolist() for k in (2, 5, 20, 60)]
+        for members in member_sets:
+            for t in (0, 1, 2, 3, 5):
+                fam = grow_disjoint_family(g, members, t)
+                assert fam == oracles.disjoint_family_reference(adj, members, t), (members, t)
+                assert list(fam) == sorted(set(members))
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_GRAPHS))
+    def test_build_disjoint_sphere_family(self, kind):
+        g = family_graph(kind)
+        adj = oracles.adjacency_sets(g)
+        rng = np.random.default_rng(FAMILY_GRAPHS[kind][2] + 1)
+        isolated = [v for v in range(g.n) if not adj[v]]
+        anchors = isolated[:1] + rng.integers(0, g.n, size=4).tolist()
+        for v in anchors:
+            # the largest eccentricity is 7 (sparse) and 2 (dense), so
+            # S(v, 8) is empty, as is S(v, r >= 1) at an isolated v
+            for r in (0, 1, 2, 3, 8):
+                rep = build_disjoint_sphere_family(g, v, r)
+                want = oracles.sphere_family_reference(adj, v, r)
+                assert rep.family == want, (v, r)
+                assert list(rep.family) == sorted(want)
+                sizes = [len(w) for w in want.values()] or [0]
+                assert (rep.min_size, rep.max_size) == (min(sizes), max(sizes))
 
 
 class TestAccessibility:
