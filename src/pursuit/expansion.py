@@ -182,25 +182,34 @@ def build_disjoint_sphere_family(g: GraphView, v: int, r: int) -> SphereFamilyRe
     """Greedy disjoint family {W(u) subset of S(u, r+1)} over u in S(v, r).
 
     Vertices of S(v,r) are processed in ascending order; W(u) takes every
-    not-yet-claimed vertex of S(u, r+1) that lies outside N(v, r).  The
-    report records min/max sizes against the d^(r+1) scale.
+    not-yet-claimed vertex of S(u, r+1) that lies outside N(v, r), so a
+    vertex x goes to the smallest u with d(u, x) = r + 1.  The report
+    records min/max sizes against the d^(r+1) scale.
     """
     layers = bfs_layers(g, [v], max_depth=r)
     if len(layers) <= r:
         return SphereFamilyReport(v, r, {}, 0, 0, g.mean_degree() ** (r + 1))
     inner = np.zeros(g.n, dtype=bool)
-    for layer in layers:
-        inner[layer] = True
-    claimed = inner.copy()
-    family: dict[int, frozenset[int]] = {}
-    for u in sorted(int(x) for x in layers[r]):
-        udist = bfs_distances(g, [u], max_depth=r + 1)
-        cand = np.flatnonzero(udist == r + 1)
-        cand = cand[~claimed[cand]]
-        claimed[cand] = True
-        family[u] = frozenset(int(x) for x in cand)
+    inner[np.concatenate(layers)] = True
+    centres = layers[r]
+    # owner[x] is the index in `centres` of x's centre, len(centres) for none
+    owner = np.full(g.n, len(centres), dtype=np.int64)
+    for first, depth, which, verts in bfs_per_source(g, centres, r + 1):
+        if depth == r + 1:
+            outside = ~inner[verts]
+            np.minimum.at(owner, verts[outside], first + which[outside])
+    family = _group_by_owner(centres, owner)
     sizes = [len(w) for w in family.values()] or [0]
     return SphereFamilyReport(v, r, family, min(sizes), max(sizes), g.mean_degree() ** (r + 1))
+
+
+def _group_by_owner(centres: np.ndarray, owner: np.ndarray) -> dict[int, frozenset[int]]:
+    """centres[i] -> the vertices x with owner[x] == i, for every i."""
+    verts = np.flatnonzero(owner < len(centres))
+    verts = verts[np.argsort(owner[verts], kind="stable")]
+    counts = np.bincount(owner[verts], minlength=len(centres))
+    groups = np.split(verts, np.cumsum(counts)[:-1])
+    return {u: frozenset(w.tolist()) for u, w in zip(centres.tolist(), groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +221,24 @@ def grow_disjoint_family(g: GraphView, u_set: list[int], t: int) -> dict[int, fr
 
     Each round processes members in ascending order; a vertex is claimed
     by the first member whose frontier reaches it.  W(w) is a subset of
-    the ball N(w, t) by construction.
+    the ball N(w, t) by construction.  So round k claims the vertices at
+    distance k from the members, each for the smallest claimant among
+    its neighbours at distance k - 1.
     """
-    members = sorted(set(int(u) for u in u_set))
-    owner = np.full(g.n, -1, dtype=np.int64)
-    for w in members:
-        owner[w] = w
-    frontiers: dict[int, np.ndarray] = {w: np.array([w], dtype=np.int64) for w in members}
-    grown: dict[int, list[int]] = {w: [w] for w in members}
+    members = np.unique(np.asarray(list(u_set), dtype=np.int64))
+    dist = bfs_distances(g, members, max_depth=t)
+    # owner[x] is the index in `members` of x's claimant, len(members) for none
+    owner = np.full(g.n, len(members), dtype=np.int64)
+    owner[members] = np.arange(len(members))
     indptr, indices = g.csr()
-    for _ in range(t):
-        for w in members:
-            fr = frontiers[w]
-            if len(fr) == 0:
-                continue
-            nbrs = np.unique(_gather_neighbors(indptr, indices, fr)[0])
-            nbrs = nbrs[owner[nbrs] == -1]
-            owner[nbrs] = w
-            grown[w].extend(int(x) for x in nbrs)
-            frontiers[w] = nbrs
-    return {w: frozenset(vs) for w, vs in grown.items()}
+    for r in range(1, t + 1):
+        level = np.flatnonzero(dist == r)
+        if not len(level):
+            break
+        nbrs, counts = _gather_neighbors(indptr, indices, level)
+        claims = np.where(dist[nbrs] == r - 1, owner[nbrs], len(members))
+        owner[level] = np.minimum.reduceat(claims, np.cumsum(counts) - counts)
+    return _group_by_owner(members, owner)
 
 
 @dataclass(frozen=True)

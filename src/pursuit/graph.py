@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 UNREACHABLE = np.int32(-1)
+# a blocked vertex while `bfs_distances` runs; never returned
+_BLOCKED = np.int32(-2)
 
 
 class GraphView:
@@ -175,9 +177,10 @@ def from_edges(n: int, edge_iter: Iterable[tuple[int, int]] | np.ndarray) -> Gra
 # unvisited ones, while the frontier holds fewer adjacency entries than
 # the unvisited vertices do; otherwise it runs bottom-up, and each
 # unvisited vertex joins when one of its neighbours is in the frontier.
-# The distance array doubles as the visited mask.  Each step costs about
-# one pass over the entries it touches, so the cheaper one is taken;
-# both give the same distances.
+# The distance array doubles as the visited mask, in which blocked
+# vertices read -2 until the search ends.  Each step costs about one
+# pass over the entries it touches, so the cheaper one is taken; both
+# give the same distances.
 #
 # On a graph with Theta(n^2) edges even the cheaper step gathers up to
 # ~10^6 entries a level, so such a graph gets packed adjacency rows: an
@@ -228,8 +231,19 @@ def _gather_neighbors(
     return _concat_ranges(indices, starts, counts), counts
 
 
-def bfs_distances(g: GraphView, sources: Sequence[int], max_depth: int | None = None) -> np.ndarray:
-    """Multi-source BFS distance array; -1 marks unreached vertices."""
+def bfs_distances(
+    g: GraphView,
+    sources: Sequence[int],
+    max_depth: int | None = None,
+    blocked: np.ndarray | None = None,
+) -> np.ndarray:
+    """Multi-source BFS distance array; -1 marks unreached vertices.
+
+    `blocked`, a boolean mask over the vertices, keeps the search out of
+    the vertices it marks, except that every source is entered: the
+    result is the BFS of the subgraph induced by the unblocked vertices
+    and the sources.
+    """
     indptr, indices = g.csr()
     n = g.n
     dist = np.full(n, UNREACHABLE, dtype=np.int32)
@@ -242,6 +256,8 @@ def bfs_distances(g: GraphView, sources: Sequence[int], max_depth: int | None = 
         frontier = np.unique(frontier)
     if frontier[0] < 0 or frontier[-1] >= n:
         raise ValueError("source vertex out of range")
+    if blocked is not None:
+        dist[blocked] = _BLOCKED
     dist[frontier] = 0
     rows = _packed_rows(g)
     # what the two steps are weighed by: unvisited vertices with rows,
@@ -263,7 +279,7 @@ def bfs_distances(g: GraphView, sources: Sequence[int], max_depth: int | None = 
                 frontier_entries = int(counts.sum())
             unvisited -= frontier_entries
             if frontier_entries > unvisited:
-                left = np.flatnonzero((dist < 0) & (indptr[1:] > indptr[:-1]))
+                left = np.flatnonzero((dist == UNREACHABLE) & (indptr[1:] > indptr[:-1]))
                 if len(left) == 0:
                     break
                 nbrs, counts = _gather_neighbors(indptr, indices, left)
@@ -273,18 +289,20 @@ def bfs_distances(g: GraphView, sources: Sequence[int], max_depth: int | None = 
                 # one row of a simple graph repeats no vertex
                 nbrs = indices[lo:hi]
                 touched += len(nbrs)
-                fresh = nbrs[dist[nbrs] < 0]
+                fresh = nbrs[dist[nbrs] == UNREACHABLE]
             else:
                 touched += frontier_entries
                 reached = np.zeros(n, dtype=bool)
                 reached[_concat_ranges(indices, starts, counts)] = True
-                fresh = np.flatnonzero(reached & (dist < 0))
+                fresh = np.flatnonzero(reached & (dist == UNREACHABLE))
         if len(fresh) == 0:
             break
         depth += 1
         dist[fresh] = depth
         frontier = fresh
     g._csr_touched += touched
+    if blocked is not None:
+        dist[dist == _BLOCKED] = UNREACHABLE
     return dist
 
 
@@ -330,11 +348,11 @@ def _packed_level(rows: np.ndarray, dist: np.ndarray, frontier: np.ndarray, unvi
         for a in range(0, len(frontier), step):
             reached |= np.bitwise_or.reduce(rows[frontier[a:a + step]], axis=0)
         hit = np.unpackbits(reached.view(np.uint8), count=n, bitorder="little").view(bool)
-        return np.flatnonzero(hit & (dist < 0))
+        return np.flatnonzero(hit & (dist == UNREACHABLE))
     mask = np.zeros(words * 64, dtype=bool)
     mask[frontier] = True
     packed = np.packbits(mask, bitorder="little").view(_WORD)
-    left = np.flatnonzero(dist < 0)
+    left = np.flatnonzero(dist == UNREACHABLE)
     hit = [(rows[left[a:a + step]] & packed).any(axis=1) for a in range(0, len(left), step)]
     return left[np.concatenate(hit)] if hit else left
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,14 +312,9 @@ class DenseStrategy(_TeamStrategy):
                     {"kind": "ball-cover-deficient", "violation": None}, True)
 
     def _plan_hold(self, v: int) -> None:
-        team1_pos = {c.pos for c in self.team1}
-        undominated = []
-        for u in sorted(int(x) for x in np.flatnonzero(self.anchor_dist == 1)):
-            if u in team1_pos:
-                continue
-            if any(int(w) in team1_pos for w in self.g.adjacency(u)):
-                continue
-            undominated.append(u)
+        # S(v, 1) minus what team one's closed neighbourhoods dominate
+        dominated = bfs_distances(self.g, [c.pos for c in self.team1], max_depth=1) >= 0
+        undominated = np.flatnonzero((self.anchor_dist == 1) & ~dominated).tolist()
         self.meta["undominated"] = len(undominated)
         self._cover(self.team2, set(undominated) | {v}, 2,
                     {"kind": "hold-cover-deficient", "violation": None}, True)
@@ -613,32 +607,14 @@ class SparseStrategy(_TeamStrategy):
 
     # -- clean-up sweep
 
-    def _held_positions(self) -> set[int]:
-        return {c.pos for c in self.cops if not c.path}
+    def _robber_region(self, robber: int) -> np.ndarray:
+        """Reachable component of the robber inside the ball, minus holds, ascending.
 
-    def _robber_region(self, robber: int) -> list[int]:
-        """Reachable component of the robber inside the ball, minus holds."""
-        r = self._radius(self.round_idx) if self.round_idx else 0
-        held = self._held_positions()
-        if self.anchor_dist is None:
-            return []
-        allowed = self.anchor_dist >= 0
-        cap = self.anchor_dist <= r
-        region = []
-        seen = {robber}
-        queue = deque([robber])
-        while queue:
-            u = queue.popleft()
-            region.append(u)
-            for w in self.g.adjacency(u):
-                w = int(w)
-                if w in seen or w in held:
-                    continue
-                if not (allowed[w] and cap[w]):
-                    continue
-                seen.add(w)
-                queue.append(w)
-        return sorted(region)
+        The robber's own vertex belongs to it even when held or outside.
+        """
+        blocked = (self.anchor_dist < 0) | (self.anchor_dist > self._radius(self.round_idx))
+        blocked[[c.pos for c in self.cops if not c.path]] = True
+        return np.flatnonzero(bfs_distances(self.g, [robber], blocked=blocked) >= 0)
 
     def _sweep_pool(self) -> list[_Cop]:
         pool = list(self.cleanup)
@@ -651,29 +627,27 @@ class SparseStrategy(_TeamStrategy):
         if robber is None:
             robber = self.anchor
         region = self._robber_region(robber)
-        if not region:
-            return
-        free = [c for c in self._sweep_pool() if not c.path]
+        free = sorted((c for c in self._sweep_pool() if not c.path), key=lambda c: c.cid)
         if not free:
             return
-        # nearest-to-robber region vertices first, one free sweeper each
-        rd = bfs_distances(self.g, [robber])
-        targets = sorted(region, key=lambda u: (int(rd[u]) if rd[u] >= 0 else self.g.n, u))
-        dists = {c.cid: bfs_distances(self.g, [c.pos]) for c in free}
-        used: set[int] = set()
-        for t in targets:
-            best = None
-            for c in free:
-                if c.cid in used or dists[c.cid][t] < 0:
-                    continue
-                key = (int(dists[c.cid][t]), c.cid)
-                if best is None or key < best[0]:
-                    best = (key, c)
-            if best is None:
+        # nearest-to-robber region vertices first (the region is connected,
+        # so all are reached), each taking the nearest unused free sweeper,
+        # ties to the smallest cop id
+        targets = region[np.argsort(bfs_distances(self.g, [robber])[region], kind="stable")]
+        # table[i, j]: cop free[i]'s distance to targets[j], `far` once
+        # unreachable or once the cop is used
+        far = np.iinfo(np.int32).max
+        table = np.stack([bfs_distances(self.g, [c.pos])[targets] for c in free])
+        table[table < 0] = far
+        left = len(free)
+        for j, t in enumerate(targets.tolist()):
+            i = int(np.argmin(table[:, j]))
+            if table[i, j] == far:
                 continue
-            used.add(best[1].cid)
-            self._dispatch(best[1], t, self.g.n, audit=False)
-            if len(used) == len(free):
+            table[i] = far
+            self._dispatch(free[i], t, self.g.n, audit=False)
+            left -= 1
+            if not left:
                 break
 
     # -- per-turn driver
@@ -698,10 +672,6 @@ class SparseStrategy(_TeamStrategy):
 # Robber policies and small cop baselines
 
 
-def _safe(dist: int, n: int) -> int:
-    return dist if dist >= 0 else n
-
-
 class GreedyRobber:
     """Maximizes distance to the nearest cop, then to the second nearest.
 
@@ -711,29 +681,24 @@ class GreedyRobber:
     """
 
     def choose(self, g: GraphView, cops: tuple[int, ...]) -> int:
-        return self._best(g, cops, range(g.n))
+        return self._best(g, cops, np.arange(g.n))
 
     def move(self, g: GraphView, state: GameState) -> int:
         row = g.adjacency(state.robber)
         if not len(row):
             return state.robber  # staying is the only move
-        cands = [state.robber] + [int(x) for x in row]
-        return self._best(g, state.cops, cands)
+        return self._best(g, state.cops, np.concatenate(([state.robber], row)))
 
     @staticmethod
-    def _best(g: GraphView, cops, candidates) -> int:
+    def _best(g: GraphView, cops, candidates: np.ndarray) -> int:
+        """The candidate v with the largest key (d1, d2, -v), a -1 distance read as n."""
         if len(cops) == 0:
-            return min(candidates)
+            return int(candidates.min())
         d1, d2 = two_nearest_source_distances(g, list(cops))
-        n = g.n
-        best_v = -1
-        best_key = None
-        for v in candidates:
-            key = (_safe(int(d1[v]), n), _safe(int(d2[v]), n), -v)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_v = v
-        return best_v
+        k1, k2 = d1[candidates], d2[candidates]
+        k1[k1 < 0] = g.n
+        k2[k2 < 0] = g.n
+        return int(candidates[np.lexsort((-candidates, k2, k1))[-1]])
 
 
 class TableRobber:

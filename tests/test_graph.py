@@ -387,6 +387,49 @@ class TestPackedRows:
         assert (g._rows is not None) == (kind == "dense")
 
 
+class TestBlockedMask:
+    """A masked search is the BFS of the subgraph induced by the
+    unblocked vertices and the sources."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_GRAPHS))
+    def test_matches_induced_subgraph_oracle(self, kind):
+        n, p, seed = KERNEL_GRAPHS[kind]
+        g = from_edges(n, seeded_gnp_with_isolated(n, p, seed))
+        adj = oracles.adjacency_sets(g)
+        rng = np.random.default_rng(seed + 500)
+        # the dense graph's searches below run on packed rows
+        views = [fresh_view(g), with_packed_rows(g)] if kind == "dense" else [fresh_view(g)]
+        for frac in (0.0, 0.2, 0.6, 0.95):
+            blocked = rng.random(n) < frac
+            free = np.flatnonzero(~blocked)
+            source_sets = [[0], [int(rng.integers(n))], [3, 3, 9]]
+            source_sets.append([int(v) for v in rng.choice(n, size=5, replace=False)])
+            if len(free):
+                source_sets.append([int(free[0])])
+            if blocked.any():
+                # a blocked source is entered all the same
+                source_sets.append([int(np.flatnonzero(blocked)[0]), int(rng.integers(n))])
+            for sources in source_sets:
+                for cap in (None, 0, 1, 2):
+                    ref = oracles.masked_bfs_from(adj, sources, blocked, cap)
+                    expect = np.array([ref.get(v, -1) for v in range(n)])
+                    for h in views:
+                        mask = blocked.copy()
+                        dist = bfs_distances(h, sources, max_depth=cap, blocked=mask)
+                        assert dist.dtype == np.int32
+                        assert np.array_equal(dist, expect), (frac, sources, cap)
+                        assert np.array_equal(mask, blocked)
+
+    def test_empty_sources_and_empty_mask(self):
+        g = cycle_graph(6)
+        blocked = np.zeros(6, dtype=bool)
+        assert np.array_equal(bfs_distances(g, [], blocked=blocked), np.full(6, -1))
+        blocked[[1, 4]] = True
+        assert list(bfs_distances(g, [], blocked=blocked)) == [-1] * 6
+        assert list(bfs_distances(g, [0], blocked=blocked)) == [0, -1, -1, -1, -1, 1]
+        assert list(bfs_distances(g, [1], blocked=blocked)) == [1, 0, 1, 2, -1, 2]
+
+
 class TestTwoNearest:
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy(max_n=10), st.data())
