@@ -112,16 +112,15 @@ class _TeamStrategy:
         """Match the targets to team cops within `cap` steps and dispatch them.
 
         Returns destination -> cop id for every dispatched cop.  An
-        infeasible matching appends `failure` with the deficiency to the
-        failures; a `violation` key in it asks for Hall's witness too.
+        infeasible matching appends `failure` with the deficiency and
+        Hall's violation witness to the failures.
         """
         ys = tuple(c.pos for c in team)
         res = assign_within_radius(self.g, AssignmentProblem(tuple(sorted(targets)), ys, cap))
         if not res.feasible:
-            record = dict(failure, deficiency=res.deficiency)
-            if "violation" in record:
-                record["violation"] = list(res.violation)
-            self.meta["failures"].append(record)
+            self.meta["failures"].append(
+                dict(failure, deficiency=res.deficiency, violation=list(res.violation))
+            )
         covered = {}
         for dest, slot in res.assignment.items():
             if self._dispatch(team[slot], dest, cap, audit):
@@ -308,16 +307,14 @@ class DenseStrategy(_TeamStrategy):
         return np.flatnonzero((self.anchor_dist >= 0) & (self.anchor_dist <= self.r)).tolist()
 
     def _plan_saturate(self, v: int) -> None:
-        self._cover(self.team1, self._anchor_ball(), self.r + 1,
-                    {"kind": "ball-cover-deficient", "violation": None}, True)
+        self._cover(self.team1, self._anchor_ball(), self.r + 1, {"kind": "ball-cover-deficient"}, True)
 
     def _plan_hold(self, v: int) -> None:
         # S(v, 1) minus what team one's closed neighbourhoods dominate
         dominated = bfs_distances(self.g, [c.pos for c in self.team1], max_depth=1) >= 0
         undominated = np.flatnonzero((self.anchor_dist == 1) & ~dominated).tolist()
         self.meta["undominated"] = len(undominated)
-        self._cover(self.team2, set(undominated) | {v}, 2,
-                    {"kind": "hold-cover-deficient", "violation": None}, True)
+        self._cover(self.team2, set(undominated) | {v}, 2, {"kind": "hold-cover-deficient"}, True)
         # team one stands still; the grab rule does the capturing
 
     def _plan_sphere_relay(self, v: int) -> None:

@@ -60,14 +60,14 @@ GAMES = [
     (["simulate", "--regime", "dense", "--n", "2000", "--d", "12.0", "--C", "4.0",
       "--trials", "1", "--seed", "1893146418"],
      "aux-cover-deficient",
-     ["ee4eaf04441d3096ed12e541cd23d4e06e94c4565f6ab7f7b12b3b6e473a65a3"],
+     ["76a7560252b57d28d2164d81c07ff8a0e76e9bccce65e802f182d8ca571c5ebd"],
      ["d411455537728d0bd8f5223dd4d743a8bc7251c4393051db11bba14d71feccc0"]),
     (["simulate", "--regime", "sparse", "--n", "3000", "--C", "16", "--trials", "4", "--seed", "0"],
      "final-cover-deficient",
      ["f36afaad636fb0a5ba9a2644b0a3aaeca70ddd0d1f7ffbfff8282e5dfb315bec",
       "f9f41bdc34311108ef3617ec9e75dfc531872fafb529428d8386dff43b959840",
       "5d9e8ef56c8f5f974af6db39304a8a194f50b21c441dff3b9cfd75cb6d108667",
-      "7b5d68b77e44a1b0451681f19b389a54e76824539ed9b55b63de56e566f3b400"],
+      "0cdbe7a3ee95c76015f0acae55d31e6bdea13b4d1d0eb9e6931f205bd644144f"],
      ["c7d642abeb3cbe5665341892f8850526245059865c4953c5ed0cf167fab430e8",
       "c272f777126308eadeb65315aa6ad636a3a5719ae03293751191008535e6bf01",
       "fd2d7460b1fb5f91d143689c4786d4c7f45f9e4c7d070fbbc39be7d27a889d7d",
@@ -90,8 +90,11 @@ def test_game_meta(monkeypatch, tmp_path, argv, kind, digests, trace_digests):
 
     monkeypatch.setattr(pursuit.cli, "play", recording)
     assert main(argv + ["--out", str(tmp_path / "run.out")]) == 0
+    failures = [f for r in results for f in r.meta["failures"]]
     if kind is not None:
-        assert any(f["kind"] == kind for r in results for f in r.meta["failures"])
+        assert any(f["kind"] == kind for f in failures)
+    # every deficient cover names its Hall violation
+    assert all(f["violation"] for f in failures if f["kind"].endswith("-deficient"))
     assert [_digest(r.meta) for r in results] == digests
     assert [_digest(r.trace) for r in results] == trace_digests
 
