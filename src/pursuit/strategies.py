@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -459,19 +459,6 @@ class RoundState:
     dst_size: int = 0
     covered: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "anchor": self.anchor,
-            "radius": self.radius,
-            "sphere_size": self.sphere_size,
-            "exit_count": self.exit_count,
-            "vulnerable": self.vulnerable,
-            "team_size": self.team_size,
-            "dst_size": self.dst_size,
-            "covered": self.covered,
-        }
-
 
 class SparseStrategy(_TeamStrategy):
     """Round-based containment strategy for sparse random graphs.
@@ -578,7 +565,7 @@ class SparseStrategy(_TeamStrategy):
             self.sweep_mode = True
             self.meta["sealed"] = True
         self._release_team(rs)
-        self.meta["rounds"].append(rs.as_dict())
+        self.meta["rounds"].append(asdict(rs))
         self._replan_cleanup()
 
     def _release_team(self, rs: RoundState) -> None:
