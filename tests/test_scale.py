@@ -7,6 +7,7 @@ Each test prints its wall time and the process's peak resident set
 one test at a time, with `-k`, for a clean figure).
 """
 
+import hashlib
 import json
 import resource
 import sys
@@ -72,3 +73,22 @@ def test_simulate_dense_20000(tmp_path, record_property):
     print(f"\nsimulate --regime dense --n 20000 --trials 1: {wall:.2f} s, ru_maxrss {rss:.0f} MB")
     row = json.loads(out.read_text())["results"][0]
     assert row["n"] == 20000 and row["case"] == "hold"
+
+
+@pytest.mark.scale
+def test_simulate_sparse_1000000(tmp_path, record_property):
+    # G(10^6, 15.2/10^6) and 5,108 cops; the robber is caught in 4 moves
+    # after 2 rounds, so per-search costs (clean-up sweep, robber key,
+    # reservoir families) dominate, not the game's length
+    out = tmp_path / "run.json"
+    argv = ["simulate", "--regime", "sparse", "--n", "1000000", "--trials", "1", "--seed", "0",
+            "--format", "json", "--out", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    wall = time.perf_counter() - start
+    rss = peak_rss_mb()
+    record_property("wall_s", round(wall, 2))
+    record_property("ru_maxrss_mb", round(rss))
+    print(f"\nsimulate --regime sparse --n 1000000 --trials 1: {wall:.2f} s, ru_maxrss {rss:.0f} MB")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "f45c57221925ae2ac7884e5d741055c3417e1d977de00bfbc795502ed5b9dc95"
