@@ -75,7 +75,6 @@ def q_set_reference(g: GraphView, v: int, r: int, r_prime: int, d: float) -> tup
     return q, per_a_max
 
 
-
 def masked_bfs_from(adj: list[set[int]], sources, blocked, max_depth=None) -> dict[int, int]:
     """Distances in the subgraph induced by the unblocked vertices and the
     sources, up to max_depth."""

@@ -420,7 +420,7 @@ class TestBlockedMask:
                         assert np.array_equal(dist, expect), (frac, sources, cap)
                         assert np.array_equal(mask, blocked)
 
-    def test_empty_sources_and_empty_mask(self):
+    def test_cycle_by_hand(self):
         g = cycle_graph(6)
         blocked = np.zeros(6, dtype=bool)
         assert np.array_equal(bfs_distances(g, [], blocked=blocked), np.full(6, -1))
