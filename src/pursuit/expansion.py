@@ -221,9 +221,9 @@ def grow_disjoint_family(g: GraphView, u_set: list[int], t: int) -> dict[int, fr
 
     Each round processes members in ascending order; a vertex is claimed
     by the first member whose frontier reaches it.  W(w) is a subset of
-    the ball N(w, t) by construction.  So round k claims the vertices at
-    distance k from the members, each for the smallest claimant among
-    its neighbours at distance k - 1.
+    the ball N(w, t) by construction.  Equivalently, round k claims the
+    vertices at distance k from the members, each for the smallest
+    claimant among its neighbours at distance k - 1.
     """
     members = np.unique(np.asarray(list(u_set), dtype=np.int64))
     dist = bfs_distances(g, members, max_depth=t)
