@@ -109,6 +109,35 @@ def sphere_family_reference(adj: list[set[int]], v: int, r: int) -> dict[int, fr
     return {u: frozenset(w) for u, w in family.items()}
 
 
+def cleanup_sweep_reference(adj: list[set[int]], robber: int, region, free) -> list[tuple]:
+    """The clean-up sweep's dispatches (cop id, target, walk), in order.
+
+    The region's vertices, by distance from the robber and then id, each
+    take the nearest unused cop of `free` ((cop id, position) pairs),
+    ties to the smallest id, until no cop is left.  The walk leaves the
+    cop's vertex for the smallest-id neighbour one step closer to the
+    target until it stands there.
+    """
+    from_robber = bfs_from(adj, [robber])
+    unused = dict(sorted(free))
+    out = []
+    for t in sorted(region, key=lambda v: (from_robber[v], v)):
+        if not unused:
+            break
+        dt = bfs_from(adj, [t])
+        reach = [(dt[pos], cid) for cid, pos in unused.items() if pos in dt]
+        if not reach:
+            continue
+        cid = min(reach)[1]
+        v = unused.pop(cid)
+        walk = []
+        while dt[v]:
+            v = min(w for w in adj[v] if dt.get(w) == dt[v] - 1)
+            walk.append(v)
+        out.append((cid, t, walk))
+    return out
+
+
 def all_pairs_dist(g: GraphView) -> list[dict[int, int]]:
     adj = adjacency_sets(g)
     return [bfs_from(adj, [s]) for s in range(g.n)]

@@ -2,6 +2,7 @@
 
 import math
 
+import oracles
 import pytest
 
 from pursuit.expansion import low_degree_set
@@ -245,6 +246,112 @@ class TestSparseStrategy:
         pos = strat.place(g)
         assert strat.meta["budget_total"] == len(pos)
         assert strat.meta["cleanup_size"] == min(sch.cleanup_size, g.n)
+
+
+class TestCleanupSweep:
+    """Every clean-up replan dispatches what `oracles.cleanup_sweep_reference` does."""
+
+    def make(self, seed, F=1.0, island=False, stations=()):
+        n = 1500
+        d = 1.1 * math.log(n)
+        g = gnp(n, d / n, seed)
+        if island:
+            # a three-vertex path that the rest of the graph cannot reach
+            g = from_edges(n + 3, g.edges().tolist() + [(n, n + 1), (n + 1, n + 2)])
+        x = low_degree_set(g, min(1.0, max(0.05, d / math.log(n) - 0.5)), d) | set(stations)
+        strat = SparseStrategy(g, radius_schedule(n, d, 0.5, F, 16.0), x, seed=seed)
+        strat.place(g)
+        return g, strat
+
+    @staticmethod
+    def record(strat) -> list[tuple]:
+        """Log (dispatches, reference dispatches, free pool, region) per replan."""
+        log = []
+        replan, dispatch = strat._replan_cleanup, strat._dispatch
+        adj = oracles.adjacency_sets(strat.g)
+
+        def logged(robber=None):
+            robber = strat.anchor if robber is None else robber
+            r = strat._radius(strat.round_idx)
+            ball = {v for v, dv in oracles.bfs_from(adj, [strat.anchor]).items() if dv <= r}
+            held = {c.pos for c in strat.cops if not c.path}
+            blocked = [v not in ball or v in held for v in range(strat.g.n)]
+            region = sorted(oracles.masked_bfs_from(adj, [robber], blocked))
+            pool = list(strat.cleanup)
+            if strat.sweep_mode:
+                pool += [c for team in strat.teams[strat.round_idx:] for c in team]
+            free = [(c.cid, c.pos) for c in pool if not c.path]
+            got = []
+
+            def logged_dispatch(cop, dest, *args, **kwargs):
+                ok = dispatch(cop, dest, *args, **kwargs)
+                got.append((cop.cid, dest, list(cop.path)))
+                return ok
+
+            strat._dispatch = logged_dispatch
+            try:
+                replan(robber)
+            finally:
+                strat._dispatch = dispatch
+            want = oracles.cleanup_sweep_reference(adj, robber, region, free)
+            log.append((got, want, free, region))
+
+        strat._replan_cleanup = logged
+        return log
+
+    def test_regions_smaller_and_larger_than_the_pool(self):
+        g, strat = self.make(71)
+        log = self.record(strat)
+        v = next(v for v in range(g.n) if v not in strat.x_set and g.degree(v))
+        strat._enter_round(v)
+        strat._enter_round(int(g.adjacency(v)[0]))
+        strat._replan_cleanup()
+        (got1, want1, free1, region1), (got2, want2, free2, region2), (got3, want3, _, _) = log
+        assert got1 == want1 and got2 == want2 and got3 == want3
+        assert len(region1) == 1 < len(free1) and len(got1) == 1
+        assert len(region2) > len(free2) == len(got2) > 1
+
+    def test_sweep_mode_pools_the_later_teams(self):
+        # round one's sphere is its anchor, so a stationed anchor leaves no exit
+        v = 10
+        g, strat = self.make(73, F=2.0, stations=[v])
+        log = self.record(strat)
+        strat._enter_round(v)
+        assert strat.sweep_mode
+        strat._enter_round(int(g.adjacency(v)[0]))
+        for got, want, free, _ in log:
+            assert got == want
+            assert {strat.cops[cid].role for cid, _ in free} > {"cleanup"}
+        assert any(strat.cops[cid].role != "cleanup" for got, *_ in log for cid, _, _ in got)
+
+    def test_cop_on_a_target_and_equal_distances(self):
+        g, strat = self.make(75)
+        log = self.record(strat)
+        strat._enter_round(next(v for v in range(g.n) if v not in strat.x_set and g.degree(v)))
+        free = [c for c in strat.cleanup if not c.path]
+        # a robber on a free cop: that cop is dispatched with no walk
+        strat._replan_cleanup(free[-1].pos)
+        got, want, _, _ = log[-1]
+        assert got == want and got[0] == (free[-1].cid, free[-1].pos, [])
+        # two free cops on one vertex tie at every target: the smaller id goes
+        free = [c for c in strat.cleanup if not c.path]
+        free[-1].pos = free[-2].pos
+        for robber in (free[-2].pos, int(g.adjacency(free[-2].pos)[0])):
+            strat._replan_cleanup(robber)
+            got, want, _, _ = log[-1]
+            assert got == want
+        assert log[-2][0][0] == (free[-2].cid, free[-2].pos, [])
+
+    def test_unreachable_robber_dispatches_nothing(self):
+        g, strat = self.make(77, island=True)
+        island = {g.n - 3, g.n - 2, g.n - 1}
+        log = self.record(strat)
+        strat._enter_round(g.n - 2)
+        strat._replan_cleanup()
+        for got, want, free, region in log:
+            assert not island & {pos for _, pos in free}
+            assert got == want == []
+            assert set(region) <= island
 
 
 class TestRobberPolicies:
