@@ -469,20 +469,14 @@ def shortest_path(
 ) -> list[int] | None:
     """One shortest path src -> dst, ties broken toward smaller vertex ids.
 
-    Walks parents from dst back to src over a BFS distance field, each
-    step by `_step_toward`, so the result is deterministic.  Returns None
-    when dst is unreachable or farther than max_depth.
+    Walks from dst back to src over src's BFS distance field by
+    `_walk_toward`, so the result is deterministic.  Returns None when
+    dst is unreachable or farther than max_depth.
     """
-    if src == dst and 0 <= src < g.n:
-        return [src]
     dist = bfs_distances(g, [src], max_depth=max_depth)
     if dist[dst] < 0:
         return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(_step_toward(g, dist, path[-1]))
-    path.reverse()
-    return path
+    return [*reversed(_walk_toward(g, dist, dst)), dst]
 
 
 def _step_toward(g: GraphView, dist: np.ndarray, v: int) -> int:
@@ -492,6 +486,15 @@ def _step_toward(g: GraphView, dist: np.ndarray, v: int) -> int:
     """
     row = g.adjacency(v)
     return int(row[dist[row] == dist[v] - 1][0])
+
+
+def _walk_toward(g: GraphView, dist: np.ndarray, v: int) -> list[int]:
+    """The vertices after v, a reached one, on its `_step_toward` walk to a source of `dist`."""
+    walk = []
+    while dist[v]:
+        v = _step_toward(g, dist, v)
+        walk.append(v)
+    return walk
 
 
 def two_nearest_source_distances(

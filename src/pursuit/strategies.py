@@ -31,9 +31,9 @@ from .game import GameState
 from .graph import (
     GraphView,
     _step_toward,
+    _walk_toward,
     bfs_distances,
     bfs_per_source,
-    shortest_path,
     two_nearest_source_distances,
 )
 from .matching import AssignmentProblem, assign_within_radius
@@ -91,16 +91,17 @@ class _TeamStrategy:
             out.append(cop)
         return out
 
-    def _dispatch(self, cop: _Cop, dest: int, cap: int, audit: bool = True) -> bool:
-        # BFS from dest, so ties descend to the smallest-id neighbor; the
-        # walk is the path reversed, without the cop's own vertex
-        path = shortest_path(self.g, dest, cop.pos, max_depth=cap)
-        if path is None:
+    def _dispatch(self, cop: _Cop, dest: int, cap: int, audit: bool = True, dist: np.ndarray | None = None) -> bool:
+        # walk down dest's distance field to depth cap (searched here unless
+        # passed), so ties step to the smallest-id neighbour
+        if dist is None:
+            dist = bfs_distances(self.g, [dest], max_depth=cap)
+        if dist[cop.pos] < 0:
             self.meta["failures"].append(
                 {"kind": "unreachable", "cop": cop.cid, "dest": dest, "cap": cap}
             )
             return False
-        cop.path = path[-2::-1]
+        cop.path = _walk_toward(self.g, dist, cop.pos)
         if audit:
             self.meta["assignment_audit"].append(
                 {"cop": cop.cid, "from": cop.pos, "dest": dest,
@@ -614,24 +615,18 @@ class SparseStrategy(_TeamStrategy):
         free = sorted((c for c in self._sweep_pool() if not c.path), key=lambda c: c.cid)
         if not free:
             return
-        # nearest-to-robber region vertices first (the region is connected,
-        # so all are reached), each taking the nearest unused free sweeper,
-        # ties to the smallest cop id
+        # nearest-to-robber region vertices first, each taking the nearest
+        # unused free sweeper, ties to the smallest cop id; the target's
+        # one search both picks the sweeper and lays its walk
         targets = region[np.argsort(bfs_distances(self.g, [robber])[region], kind="stable")]
-        # table[i, j]: cop free[i]'s distance to targets[j], `far` once
-        # unreachable or once the cop is used
-        far = np.iinfo(np.int32).max
-        table = np.stack([bfs_distances(self.g, [c.pos])[targets] for c in free])
-        table[table < 0] = far
-        left = len(free)
-        for j, t in enumerate(targets.tolist()):
-            i = int(np.argmin(table[:, j]))
-            if table[i, j] == far:
-                continue
-            table[i] = far
-            self._dispatch(free[i], t, self.g.n, audit=False)
-            left -= 1
-            if not left:
+        for t in targets.tolist():
+            dist = bfs_distances(self.g, [t])
+            at = dist[[c.pos for c in free]]
+            if at.max() < 0:
+                break  # the region is connected, so no free sweeper reaches the rest
+            i = int(np.argmin(np.where(at < 0, self.g.n, at)))
+            self._dispatch(free.pop(i), t, self.g.n, audit=False, dist=dist)
+            if not free:
                 break
 
     # -- per-turn driver
