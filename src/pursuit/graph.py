@@ -594,8 +594,10 @@ def parse_edge_list_text(text: str) -> GraphView:
     if len(head) != 2:
         raise ValueError("line 1: expected 'n m'")
     n, m = int(head[0]), int(head[1])
-    if len(lines) < 1 + m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+    if m < 0 or len(lines) < 1 + m:
+        raise ValueError(f"expected {m} >= 0 edge lines, found {len(lines) - 1}")
+    if any(line.strip() for line in lines[1 + m:]):
+        raise ValueError(f"text after the {m} edge lines")
     edges = []
     for i in range(m):
         parts = lines[1 + i].split()

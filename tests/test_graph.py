@@ -481,6 +481,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_edge_list_text("3 1\n2 0\n")
 
+    def test_parse_rejects_negative_count(self):
+        with pytest.raises(ValueError, match="-1 >= 0"):
+            parse_edge_list_text("3 -1\n")
+
+    @pytest.mark.parametrize("text", ["3 1\n0 1\n1 2\n", "3 1\n0 1\nfoo bar\n"])
+    def test_parse_rejects_lines_after_the_edges(self, text):
+        with pytest.raises(ValueError, match="after the 1 edge lines"):
+            parse_edge_list_text(text)
+
+    def test_parse_allows_trailing_blank_lines(self):
+        assert parse_edge_list_text("3 1\n0 1\n\n  \n") == from_edges(3, [(0, 1)])
+
 
 class TestNamedGraphs:
     def test_path(self):
