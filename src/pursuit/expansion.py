@@ -96,17 +96,17 @@ class DenseExpansionReport:
         return not self.lower_failures and not self.ratio_failures
 
 
-def dense_probes(
-    g: GraphView, seed: int, count: int, sizes: tuple[int, ...] = (1, 2, 4, 8, 16)
-) -> list[DenseProbe]:
-    """Seeded probe list: vertex sets of the given sizes with random radii."""
+DENSE_PROBE_SIZES = (1, 2, 4, 8, 16)
+
+
+def dense_probes(g: GraphView, seed: int, count: int) -> list[DenseProbe]:
+    """Seeded probe list: vertex sets of DENSE_PROBE_SIZES' sizes with random radii."""
     rng = seeds.stream(seed, 0)
     d = max(g.mean_degree(), 2.0)
     r_max = max(1, int(math.ceil(math.log(max(g.n, 2)) / math.log(d))) + 1)
     probes = []
     for i in range(count):
-        s = sizes[i % len(sizes)]
-        s = min(s, g.n)
+        s = min(DENSE_PROBE_SIZES[i % len(DENSE_PROBE_SIZES)], g.n)
         verts = rng.choice(g.n, size=s, replace=False)
         r = int(rng.integers(0, r_max + 1))
         probes.append(DenseProbe(tuple(sorted(int(v) for v in verts)), r))
@@ -495,21 +495,18 @@ def sparse_report(
     density_eps: float,
     delta: float,
     probes: SparseProbes,
-    d: float | None = None,
+    d: float,
 ) -> SparseExpansionReport:
     """Measure the sparse expansion conditions against their constants.
 
-    d defaults to the measured mean degree.  The advisory degree window
-    [(1/2+eps)*log n, log^3 n] and 0 < delta < eps/6 are checked; the
-    former warns, the latter raises.
+    The advisory degree window [(1/2+eps)*log n, log^3 n] and
+    0 < delta < eps/6 are checked; the former warns, the latter raises.
     """
     if not 0.0 < density_eps <= 1.0:
         raise ValueError("density_eps must be in (0, 1]")
     if not 0.0 < delta < density_eps / 6.0:
         raise ValueError("delta must satisfy 0 < delta < density_eps/6")
     n = g.n
-    if d is None:
-        d = g.mean_degree()
     logn = math.log(max(n, 3))
     if not (0.5 + density_eps) * logn <= d <= logn**3:
         warnings.warn(

@@ -357,8 +357,7 @@ class DenseStrategy(_TeamStrategy):
             else:
                 self._plan_sphere_relay(robber)
         if self.case == "sphere-relay":
-            dv = int(self.anchor_dist[robber]) if self.anchor_dist is not None else -1
-            if not self.team2_done and dv == self.r // 2:
+            if not self.team2_done and self.anchor_dist[robber] == self.r // 2:
                 self.team2_done = True
                 self._release_team2(robber)
             if not self.cleanup_done and robber in self.holes:
