@@ -100,7 +100,7 @@ DENSE_PROBE_SIZES = (1, 2, 4, 8, 16)
 
 
 def dense_probes(g: GraphView, seed: int, count: int) -> list[DenseProbe]:
-    """Seeded probe list: vertex sets of DENSE_PROBE_SIZES' sizes with random radii."""
+    """Seeded probe list: vertex sets sized by DENSE_PROBE_SIZES in turn, with random radii."""
     rng = seeds.stream(seed, 0)
     d = max(g.mean_degree(), 2.0)
     r_max = max(1, int(math.ceil(math.log(max(g.n, 2)) / math.log(d))) + 1)
