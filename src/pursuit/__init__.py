@@ -6,174 +6,9 @@ radius-capped matching, neighborhood-expansion verifiers, a turn-based
 pursuit game engine with replayable traces, sublinear cop strategies
 for dense and sparse regimes, and an exact position-table solver for
 small graphs.  See the command line interface in pursuit.cli.
+
+Import from the submodules (pursuit.graph, pursuit.solver, ...); each
+module's __all__ lists its public names.
 """
 
-from .graph import (
-    UNREACHABLE,
-    GraphView,
-    bfs_distances,
-    bfs_layers,
-    complete_graph,
-    cycle_graph,
-    from_edges,
-    grid_graph,
-    parse_edge_list_text,
-    path_graph,
-    petersen_graph,
-    read_edge_list,
-    shortest_path,
-    star_graph,
-    to_edge_list_text,
-    two_nearest_source_distances,
-    write_edge_list,
-)
-from .models import RegularRejectionError, gnm, gnp, random_regular
-from .bounds import (
-    TailBound,
-    bernstein_degree,
-    chernoff_additive,
-    chernoff_lower,
-    chernoff_relative,
-    f_eps,
-    g_eps,
-    psi,
-    zigzag,
-)
-from .matching import (
-    AssignmentProblem,
-    AssignmentResult,
-    assign_within_radius,
-    hall_deficiency,
-    max_matching,
-)
-from .expansion import (
-    AccessibilityFailure,
-    AccessibilityWitness,
-    DenseExpansionParams,
-    DenseExpansionReport,
-    DenseProbe,
-    QSetResult,
-    SparseExpansionReport,
-    SparseProbes,
-    SphereFamilyReport,
-    accessibility_check,
-    build_disjoint_sphere_family,
-    dense_probes,
-    grow_disjoint_family,
-    low_degree_set,
-    q_set_construction,
-    sparse_probes,
-    sparse_report,
-    verify_dense_lower,
-    verify_witness,
-)
-from .game import (
-    GameResult,
-    GameState,
-    IllegalMoveError,
-    is_capture,
-    legal_moves,
-    new_game,
-    play,
-    validate_trace,
-)
-from .solver import (
-    DEFAULT_POSITION_BUDGET,
-    BudgetError,
-    PositionTable,
-    cop_number,
-    is_copwin_dismantlable,
-    optimal_capture_time,
-    solve_k,
-)
-from .strategies import (
-    DenseStrategyConfig,
-    RadiusSchedule,
-    RoundState,
-    ScheduleError,
-    dense_radius,
-    radius_schedule,
-)
-from .seeds import stream
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "UNREACHABLE",
-    "GraphView",
-    "bfs_distances",
-    "bfs_layers",
-    "complete_graph",
-    "cycle_graph",
-    "from_edges",
-    "grid_graph",
-    "parse_edge_list_text",
-    "path_graph",
-    "petersen_graph",
-    "read_edge_list",
-    "shortest_path",
-    "star_graph",
-    "to_edge_list_text",
-    "two_nearest_source_distances",
-    "write_edge_list",
-    "RegularRejectionError",
-    "gnm",
-    "gnp",
-    "random_regular",
-    "TailBound",
-    "bernstein_degree",
-    "chernoff_additive",
-    "chernoff_lower",
-    "chernoff_relative",
-    "f_eps",
-    "g_eps",
-    "psi",
-    "zigzag",
-    "AssignmentProblem",
-    "AssignmentResult",
-    "assign_within_radius",
-    "hall_deficiency",
-    "max_matching",
-    "AccessibilityFailure",
-    "AccessibilityWitness",
-    "DenseExpansionParams",
-    "DenseExpansionReport",
-    "DenseProbe",
-    "QSetResult",
-    "SparseExpansionReport",
-    "SparseProbes",
-    "SphereFamilyReport",
-    "accessibility_check",
-    "build_disjoint_sphere_family",
-    "dense_probes",
-    "grow_disjoint_family",
-    "low_degree_set",
-    "q_set_construction",
-    "sparse_probes",
-    "sparse_report",
-    "verify_dense_lower",
-    "verify_witness",
-    "GameResult",
-    "GameState",
-    "IllegalMoveError",
-    "is_capture",
-    "legal_moves",
-    "new_game",
-    "play",
-    "validate_trace",
-    "DEFAULT_POSITION_BUDGET",
-    "BudgetError",
-    "PositionTable",
-    "cop_number",
-    "is_copwin_dismantlable",
-    "optimal_capture_time",
-    "solve_k",
-    "DenseStrategyConfig",
-    "RadiusSchedule",
-    "RoundState",
-    "ScheduleError",
-    "dense_radius",
-    "radius_schedule",
-    "stream",
-    "__version__",
-]

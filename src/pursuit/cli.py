@@ -22,8 +22,6 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
     bernstein_degree,
@@ -59,7 +57,8 @@ from .graph import (
     to_edge_list_text,
 )
 from .models import gnm, gnp, random_regular
-from .solver import BudgetError, is_copwin_dismantlable, solve_k
+from .seeds import trial_entropy
+from .solver import BudgetError, cop_number, is_copwin_dismantlable
 from .strategies import (
     DenseStrategy,
     DenseStrategyConfig,
@@ -118,43 +117,47 @@ def _emit(args, command: str, params: dict, fieldnames: list[str] | None, rows) 
 
 
 # ---------------------------------------------------------------------------
-# Seeds and graphs
-
-
-def _trial_entropy(seed: int, trial: int, salt: int = 0) -> tuple[int, int]:
-    """Independent (graph_seed, strategy_seed) pair for one trial."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(salt), int(trial)))
-    a, b = ss.generate_state(2, np.uint64)
-    return int(a), int(b)
+# Graphs
 
 
 def named_graph(spec: str) -> GraphView:
     """Parse graph names: path-K, cycle-K, complete-K, star-K, petersen,
-    grid-RxC."""
+    grid-RxC.  A name that does not parse or build exits with a message."""
     if spec == "petersen":
         return petersen_graph()
     if "-" in spec:
         kind, _, arg = spec.partition("-")
-        if kind == "grid" and "x" in arg:
-            r, _, c = arg.partition("x")
-            return grid_graph(int(r), int(c))
         table = {
             "path": path_graph,
             "cycle": cycle_graph,
             "complete": complete_graph,
             "star": star_graph,
         }
-        if kind in table:
-            return table[kind](int(arg))
+        try:
+            if kind == "grid" and "x" in arg:
+                r, _, c = arg.partition("x")
+                return grid_graph(int(r), int(c))
+            if kind in table:
+                return table[kind](int(arg))
+        except ValueError as err:
+            raise SystemExit(f"bad graph name {spec!r}: {err}")
     raise SystemExit(f"unknown graph name: {spec!r}")
 
 
 def _load_graph(args) -> tuple[GraphView, str]:
     if getattr(args, "graph_file", None):
-        return read_edge_list(args.graph_file), args.graph_file
-    if getattr(args, "graph", None):
-        return named_graph(args.graph), args.graph
-    raise SystemExit("provide --graph NAME or --graph-file PATH")
+        name = args.graph_file
+        try:
+            g = read_edge_list(name)
+        except (OSError, ValueError) as err:
+            raise SystemExit(f"bad graph file {name!r}: {err}")
+    elif getattr(args, "graph", None):
+        g, name = named_graph(args.graph), args.graph
+    else:
+        raise SystemExit("provide --graph NAME or --graph-file PATH")
+    if g.n < 1:
+        raise SystemExit(f"graph {name!r} has no vertices")
+    return g, name
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +168,7 @@ def _dense_trial(task: dict) -> dict:
     n, d, C, seed, trial, horizon = (
         task["n"], task["d"], task["C"], task["seed"], task["trial"], task["horizon"],
     )
-    gs, ss = _trial_entropy(seed, trial, salt=1)
+    gs, ss = trial_entropy(seed, trial, salt=1)
     p = min(1.0, d / (n - 1))
     g = gnp(n, p, gs)
     strat = DenseStrategy(g, DenseStrategyConfig(C=C, seed=ss))
@@ -191,7 +194,7 @@ def _sparse_trial(task: dict) -> dict:
         task["n"], task["d"], task["C"], task["eps0"], task["F"],
         task["seed"], task["trial"], task["horizon"],
     )
-    gs, ss = _trial_entropy(seed, trial, salt=2)
+    gs, ss = trial_entropy(seed, trial, salt=2)
     g = gnp(n, min(1.0, d / n), gs)
     row = {
         "trial": trial,
@@ -236,7 +239,7 @@ def _dense_verify_trial(task: dict) -> dict:
         task["n"], task["d"], task["seed"], task["trial"],
         task["count"], task["c"], task["tol"],
     )
-    gs, ps = _trial_entropy(seed, trial, salt=3)
+    gs, ps = trial_entropy(seed, trial, salt=3)
     g = gnp(n, min(1.0, d / (n - 1)), gs)
     probes = dense_probes(g, ps, count)
     report = verify_dense_lower(g, DenseExpansionParams(c=c, rel_tol=tol), probes)
@@ -259,7 +262,7 @@ def _sparse_verify_trial(task: dict) -> dict:
         task["n"], task["d"], task["seed"], task["trial"],
         task["count"], task["eps"], task["delta"],
     )
-    gs, ps = _trial_entropy(seed, trial, salt=4)
+    gs, ps = trial_entropy(seed, trial, salt=4)
     g = gnp(n, min(1.0, d / n), gs)
     probes = sparse_probes(g, ps, d, count=count, delta=delta)
     report = sparse_report(g, eps, delta, probes, d=d)
@@ -320,8 +323,8 @@ def cmd_gen(args) -> None:
             raise SystemExit("gnm needs --m")
         g = gnm(args.n, args.m, args.seed)
     elif args.model == "regular":
-        if args.d is None:
-            raise SystemExit("regular needs --d")
+        if args.d is None or not args.d.is_integer():
+            raise SystemExit("regular needs an integer --d")
         g = random_regular(args.n, int(args.d), args.seed)
     else:
         raise SystemExit(f"unknown model {args.model!r}")
@@ -330,21 +333,13 @@ def cmd_gen(args) -> None:
 
 def cmd_exact(args) -> None:
     g, name = _load_graph(args)
-    c = None
-    capture_time = None
-    for k in range(1, args.k_max + 1):
-        try:
-            table = solve_k(g, k, position_budget=args.budget)
-        except BudgetError as err:
-            raise SystemExit(
-                f"exact: {err}; no winning placement for k < {k}; "
-                "raise --budget or lower --k-max"
-            )
-        best = table.best_placement()
-        if best is not None:
-            c = k
-            capture_time = best[1]
-            break
+    try:
+        found = cop_number(g, args.k_max, position_budget=args.budget)
+    except BudgetError as err:
+        raise SystemExit(
+            f"exact: {err}; fewer cops do not win; raise --budget or lower --k-max"
+        )
+    c, capture_time = found or (None, None)
     result = {
         "graph": name,
         "n": g.n,

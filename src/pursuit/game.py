@@ -16,7 +16,7 @@ identified instead of corrupting the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from .graph import GraphView
 
@@ -24,8 +24,6 @@ __all__ = [
     "GameState",
     "GameResult",
     "IllegalMoveError",
-    "new_game",
-    "legal_moves",
     "is_capture",
     "play",
     "validate_trace",
@@ -61,14 +59,12 @@ class IllegalMoveError(RuntimeError):
     pass
 
 
-@runtime_checkable
 class CopStrategy(Protocol):
     def place(self, g: GraphView) -> list[int]: ...
 
     def move(self, g: GraphView, state: GameState) -> list[int]: ...
 
 
-@runtime_checkable
 class RobberStrategy(Protocol):
     def choose(self, g: GraphView, cops: tuple[int, ...]) -> int: ...
 
@@ -80,26 +76,8 @@ def _check_vertex(g: GraphView, v: int, label: str) -> None:
         raise IllegalMoveError(f"{label}: vertex {v} out of range")
 
 
-def new_game(g: GraphView, cop_placement: list[int], robber_choice: int) -> GameState:
-    """Initial state after both placements; cops move next."""
-    for c in cop_placement:
-        _check_vertex(g, c, "cop placement")
-    _check_vertex(g, robber_choice, "robber placement")
-    if len(cop_placement) == 0:
-        raise IllegalMoveError("need at least one cop")
-    return GameState(tuple(sorted(cop_placement)), robber_choice, "cops", 0)
-
-
 def is_capture(state: GameState) -> bool:
     return state.robber in state.cops
-
-
-def legal_moves(g: GraphView, state: GameState) -> list[int]:
-    """The robber's moves on a robber turn: her vertex and its neighbours, sorted."""
-    if state.turn == "cops":
-        raise ValueError("legal_moves lists robber moves; it was given a cop turn")
-    row = [state.robber] + [int(x) for x in g.adjacency(state.robber)]
-    return sorted(set(row))
 
 
 def _validate_cop_step(g: GraphView, before: list[int], after: list[int]) -> None:

@@ -23,9 +23,7 @@ __all__ = [
     "bfs_layers",
     "bfs_per_source",
     "two_nearest_source_distances",
-    "shortest_path",
     "read_edge_list",
-    "write_edge_list",
     "to_edge_list_text",
     "parse_edge_list_text",
     "path_graph",
@@ -464,21 +462,6 @@ def bfs_layers(g: GraphView, sources: Sequence[int], max_depth: int | None = Non
     return [np.flatnonzero(dist == r) for r in range(int(dist.max(initial=-1)) + 1)]
 
 
-def shortest_path(
-    g: GraphView, src: int, dst: int, max_depth: int | None = None
-) -> list[int] | None:
-    """One shortest path src -> dst, ties broken toward smaller vertex ids.
-
-    Walks from dst back to src over src's BFS distance field by
-    `_walk_toward`, so the result is deterministic.  Returns None when
-    dst is unreachable or farther than max_depth.
-    """
-    dist = bfs_distances(g, [src], max_depth=max_depth)
-    if dist[dst] < 0:
-        return None
-    return [*reversed(_walk_toward(g, dist, dst)), dst]
-
-
 def _step_toward(g: GraphView, dist: np.ndarray, v: int) -> int:
     """The smallest-id neighbour of v one level closer to the sources of `dist`.
 
@@ -611,11 +594,6 @@ def parse_edge_list_text(text: str) -> GraphView:
         if b <= a:
             raise ValueError("edge lines not sorted")
     return from_edges(n, edges)
-
-
-def write_edge_list(g: GraphView, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_edge_list_text(g))
 
 
 def read_edge_list(path) -> GraphView:

@@ -29,7 +29,6 @@ __all__ = [
     "AssignmentProblem",
     "AssignmentResult",
     "max_matching",
-    "hall_deficiency",
     "assign_within_radius",
 ]
 
@@ -113,11 +112,6 @@ def max_matching(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
         if u not in match_l and try_augment(u):
             seen.clear()
     return match_l
-
-
-def hall_deficiency(adj: dict[int, list[int]], left: list[int]) -> int:
-    """max over K of |K| - |N(K)|, which equals |left| - max matching."""
-    return len(left) - len(max_matching(adj, left))
 
 
 def _violation_witness(

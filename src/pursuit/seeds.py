@@ -5,7 +5,9 @@ generator (Philox) keyed by a user seed plus a path of integer stream
 ids.  Stream id conventions:
 
   * model generators use stream 0 of the seed they are handed,
-  * repeated trials use stream = trial index,
+  * a CLI trial derives its graph and strategy seeds with
+    trial_entropy(seed, trial, salt), one salt per trial kind (1 dense
+    games, 2 sparse games, 3 dense and 4 sparse expansion checks),
   * strategies split one stream per team.
 
 Two calls with the same (seed, path) produce identical draws, and
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream"]
+__all__ = ["stream", "trial_entropy"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -26,3 +28,10 @@ def stream(seed: int, *path: int) -> np.random.Generator:
         raise ValueError("seed and path entries must be non-negative")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def trial_entropy(seed: int, trial: int, salt: int) -> tuple[int, int]:
+    """Independent (graph_seed, strategy_seed) pair for one trial."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(salt), int(trial)))
+    a, b = ss.generate_state(2, np.uint64)
+    return int(a), int(b)

@@ -36,7 +36,6 @@ __all__ = [
     "BudgetError",
     "solve_k",
     "cop_number",
-    "optimal_capture_time",
     "is_copwin_dismantlable",
     "DEFAULT_POSITION_BUDGET",
 ]
@@ -304,11 +303,6 @@ class PositionTable:
         as unsigned, an escape (-1) is the largest value, ESCAPED."""
         return self._cop_steps.view(np.uint32).max(axis=1)
 
-    def winning_placements(self) -> list[tuple[int, ...]]:
-        """Cop multisets that win against every robber reply."""
-        ok = np.flatnonzero(self._worst_replies() != ESCAPED)
-        return [self.multisets[ci] for ci in ok.tolist()]
-
     def best_placement(self) -> tuple[tuple[int, ...], int] | None:
         """(placement, capture time) minimizing the worst robber reply;
         the lowest-ranked placement among equals."""
@@ -385,34 +379,21 @@ def solve_k(
 
 
 def cop_number(
-    g: GraphView, k_max: int | None = None, position_budget: int = DEFAULT_POSITION_BUDGET
-) -> int:
-    """Least k such that k cops have a winning placement.
+    g: GraphView, k_max: int, position_budget: int = DEFAULT_POSITION_BUDGET
+) -> tuple[int, int] | None:
+    """(k, capture time) for the least k <= k_max whose cops have a winning
+    placement, or None when no such k exists.
 
-    For a disconnected graph the answer is the sum over components of
-    their cop numbers; this implementation solves the whole graph
-    directly, which gives the same value, and k_max caps the search
-    (default n).
+    The time is the best placement's worst-case capture time.  For a
+    disconnected graph the cop number is the sum over components; solving
+    the whole graph gives the same value.  Raises BudgetError at the
+    first k whose table exceeds the budget.
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    cap = g.n if k_max is None else k_max
-    for k in range(1, cap + 1):
-        table = solve_k(g, k, position_budget=position_budget)
-        if table.winning_placements():
-            return k
-    raise ValueError(f"no winning placement with up to {cap} cops")
-
-
-def optimal_capture_time(
-    g: GraphView, k: int, position_budget: int = DEFAULT_POSITION_BUDGET
-) -> int:
-    """Optimal capture time for k cops under best play on both sides."""
-    table = solve_k(g, k, position_budget=position_budget)
-    best = table.best_placement()
-    if best is None:
-        raise ValueError(f"{k} cops do not win on this graph")
-    return best[1]
+    for k in range(1, k_max + 1):
+        best = solve_k(g, k, position_budget=position_budget).best_placement()
+        if best is not None:
+            return k, best[1]
+    return None
 
 
 def is_copwin_dismantlable(g: GraphView) -> bool:

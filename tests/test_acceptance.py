@@ -21,7 +21,7 @@ from pursuit.bounds import (
     psi,
     zigzag,
 )
-from pursuit.cli import _trial_entropy, main
+from pursuit.cli import main
 from pursuit.expansion import (
     AccessibilityWitness,
     DenseExpansionParams,
@@ -43,7 +43,8 @@ from pursuit.graph import (
 )
 from pursuit.matching import AssignmentProblem, assign_within_radius
 from pursuit.models import gnp
-from pursuit.solver import is_copwin_dismantlable, solve_k
+from pursuit.seeds import trial_entropy
+from pursuit.solver import cop_number, is_copwin_dismantlable, solve_k
 from pursuit.strategies import (
     DenseStrategy,
     DenseStrategyConfig,
@@ -64,10 +65,8 @@ def copwin(g) -> bool:
 
 
 def cop_number_upto(g, k_max: int):
-    for k in range(1, k_max + 1):
-        if solve_k(g, k).best_placement() is not None:
-            return k
-    return None
+    found = cop_number(g, k_max)
+    return None if found is None else found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +445,7 @@ def test_11_strategy_soundness():
     trace_failures = 0
     audit_failures = 0
     for trial in range(trials):
-        gs, ss = _trial_entropy(0, trial, salt=1)
+        gs, ss = trial_entropy(0, trial, salt=1)
         g = gnp(n, min(1.0, d / (n - 1)), gs)
         for C in sweep:
             strat = DenseStrategy(g, DenseStrategyConfig(C=C, seed=ss))
@@ -467,7 +466,7 @@ def test_11_strategy_soundness():
     sparse_captures = {c: 0 for c in combos}
     vulnerable_all = True
     for trial in range(trials2):
-        gs, ss = _trial_entropy(0, trial, salt=2)
+        gs, ss = trial_entropy(0, trial, salt=2)
         g = gnp(n2, d2 / n2, gs)
         x_set = low_degree_set(g, 0.6, d2)
         for C, eps0, F in combos:

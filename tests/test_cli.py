@@ -64,6 +64,12 @@ class TestGen:
         with pytest.raises(SystemExit):
             main(["gen", "--model", "gnp", "--n", "10", "--out", str(tmp_path / "x")])
 
+    def test_regular_rejects_fractional_degree(self, tmp_path):
+        with pytest.raises(SystemExit, match="integer --d"):
+            main(["gen", "--model", "regular", "--n", "10", "--d", "3.5",
+                  "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
 
 class TestExact:
     def test_petersen_json(self, tmp_path):
@@ -95,6 +101,27 @@ class TestExact:
     def test_unknown_name(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["exact", "--graph", "moebius-7", "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("name, message", [
+        ("path-abc", "bad graph name 'path-abc'"),
+        ("grid-3x", "bad graph name 'grid-3x'"),
+        ("cycle-2", "at least 3 vertices"),
+        ("path-0", "no vertices"),
+    ], ids=["path-abc", "grid-3x", "cycle-2", "path-0"])
+    def test_bad_name_exits(self, tmp_path, name, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["exact", "--graph", name, "--out", str(tmp_path / "x")])
+
+    def test_empty_graph_file_exits(self, tmp_path):
+        empty = tmp_path / "empty.edges"
+        empty.write_text("0 0\n")
+        with pytest.raises(SystemExit, match="no vertices"):
+            main(["exact", "--graph-file", str(empty), "--out", str(tmp_path / "x")])
+
+    def test_missing_graph_file_exits(self, tmp_path):
+        with pytest.raises(SystemExit, match="bad graph file"):
+            main(["exact", "--graph-file", str(tmp_path / "absent.edges"),
+                  "--out", str(tmp_path / "x")])
 
     def test_graph_required(self, tmp_path):
         with pytest.raises(SystemExit):

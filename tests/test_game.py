@@ -7,8 +7,6 @@ from pursuit.game import (
     GameState,
     IllegalMoveError,
     is_capture,
-    legal_moves,
-    new_game,
     play,
     validate_trace,
 )
@@ -60,18 +58,11 @@ class TestState:
         s = GameState(cops=(2, 4), robber=2, turn="robber", step=1)
         assert is_capture(s)
 
-    def test_legal_moves_robber(self):
-        g = path_graph(3)
-        s = GameState(cops=(0,), robber=2, turn="robber", step=0)
-        assert legal_moves(g, s) == [1, 2]
-
     def test_legal_moves_cops(self):
         g = path_graph(3)
         s = GameState(cops=(1,), robber=2, turn="cops", step=0)
         # a cop turn's successor multisets are enumerated only by the oracle
         assert oracles.MinimaxOracle(g, 0).cop_moves(s.cops) == [(0,), (1,), (2,)]
-        with pytest.raises(ValueError, match="cop turn"):
-            legal_moves(g, s)
 
 
 class TestPlay:

@@ -10,6 +10,7 @@ import oracles
 import pursuit.graph
 from pursuit.graph import (
     GraphView,
+    _walk_toward,
     bfs_distances,
     bfs_layers,
     bfs_per_source,
@@ -21,11 +22,9 @@ from pursuit.graph import (
     path_graph,
     petersen_graph,
     read_edge_list,
-    shortest_path,
     star_graph,
     to_edge_list_text,
     two_nearest_source_distances,
-    write_edge_list,
 )
 
 
@@ -146,15 +145,12 @@ class TestBFS:
         n, edges = ne
         g = from_edges(n, edges)
         dist = bfs_distances(g, [0])
-        for v in range(n):
-            path = shortest_path(g, 0, v)
-            if dist[v] < 0:
-                assert path is None
-            else:
-                assert path[0] == 0 and path[-1] == v
-                assert len(path) == dist[v] + 1
-                for a, b in zip(path, path[1:]):
-                    assert g.has_edge(a, b)
+        for v in np.flatnonzero(dist >= 0).tolist():
+            path = [v, *_walk_toward(g, dist, v)]
+            assert path[-1] == 0
+            assert len(path) == dist[v] + 1
+            for a, b in zip(path, path[1:]):
+                assert g.has_edge(a, b)
 
 
 def seeded_gnp_with_isolated(n, p, seed, isolated=(0, 1, 2)):
@@ -288,9 +284,9 @@ class TestKernelOnRandomGraphs:
 
     def test_shortest_path_depth_cap(self):
         g = path_graph(5)
-        assert shortest_path(g, 0, 3, max_depth=3) == [0, 1, 2, 3]
-        assert shortest_path(g, 0, 3, max_depth=2) is None
-        assert shortest_path(g, 4, 4, max_depth=0) == [4]
+        assert _walk_toward(g, bfs_distances(g, [0], max_depth=3), 3) == [2, 1, 0]
+        assert bfs_distances(g, [0], max_depth=2)[3] == -1
+        assert _walk_toward(g, bfs_distances(g, [4], max_depth=0), 4) == []
 
 
 def fresh_view(g):
@@ -466,7 +462,7 @@ class TestSerialization:
     def test_file_roundtrip(self, tmp_path):
         g = petersen_graph()
         path = tmp_path / "g.txt"
-        write_edge_list(g, path)
+        path.write_text(to_edge_list_text(g))
         assert read_edge_list(path) == g
 
     def test_parse_rejects_bad_counts(self):

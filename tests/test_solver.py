@@ -22,60 +22,70 @@ from pursuit.solver import (
     PositionTable,
     cop_number,
     is_copwin_dismantlable,
-    optimal_capture_time,
     solve_k,
 )
+
+
+def least_k(g, k_max):
+    found = cop_number(g, k_max)
+    return None if found is None else found[0]
+
+
+def capture_time(g, k):
+    best = solve_k(g, k).best_placement()
+    return None if best is None else best[1]
 
 
 class TestKnownValues:
     def test_paths_are_copwin(self):
         for k in (1, 2, 5, 9):
-            assert cop_number(path_graph(k)) == 1
+            assert least_k(path_graph(k), k) == 1
 
     def test_cycles(self):
-        assert cop_number(cycle_graph(3)) == 1
+        assert least_k(cycle_graph(3), 3) == 1
         for k in (4, 5, 8, 11):
-            assert cop_number(cycle_graph(k)) == 2
+            assert least_k(cycle_graph(k), k) == 2
 
     def test_complete(self):
         for k in (1, 2, 4, 6):
-            assert cop_number(complete_graph(k)) == 1
+            assert least_k(complete_graph(k), k) == 1
 
     def test_star(self):
-        assert cop_number(star_graph(5)) == 1
+        assert least_k(star_graph(5), 6) == 1
 
     def test_petersen_needs_three(self):
         g = petersen_graph()
-        assert cop_number(g) == 3
+        assert least_k(g, g.n) == 3
 
     def test_grid(self):
-        assert cop_number(grid_graph(3, 3)) == 2
-        assert cop_number(grid_graph(2, 4)) == 2
+        assert least_k(grid_graph(3, 3), 9) == 2
+        assert least_k(grid_graph(2, 4), 8) == 2
 
     def test_disconnected_sums(self):
         g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])  # two paths
-        assert cop_number(g) == 2
+        assert least_k(g, g.n) == 2
+
+    def test_time_is_the_best_placements(self):
+        g = cycle_graph(6)
+        assert cop_number(g, 3) == (2, capture_time(g, 2))
+        assert cop_number(g, 1) is None
 
 
 class TestCaptureTime:
     def test_single_vertex(self):
-        assert optimal_capture_time(from_edges(1, []), 1) == 0
+        assert capture_time(from_edges(1, []), 1) == 0
 
     def test_edge(self):
         # cop places on one endpoint, robber on the other, one move
-        assert optimal_capture_time(path_graph(2), 1) == 1
+        assert capture_time(path_graph(2), 1) == 1
 
     def test_path4(self):
         # optimal cop placement on a path of four: center, capture in 2
-        assert optimal_capture_time(path_graph(4), 1) == 2
+        assert capture_time(path_graph(4), 1) == 2
 
     def test_dominated_placement_is_one(self):
         # Petersen has a dominating set of size three
-        assert optimal_capture_time(petersen_graph(), 3) == 1
-
-    def test_losing_k_raises(self):
-        with pytest.raises(ValueError):
-            optimal_capture_time(cycle_graph(6), 1)
+        assert capture_time(petersen_graph(), 3) == 1
 
 
 class TestTableInternals:
@@ -110,13 +120,12 @@ class TestTableInternals:
         with pytest.raises(BudgetError):
             solve_k(cycle_graph(30), 3, position_budget=1000)
 
-    def test_winning_placements_subset(self):
+    def test_best_placement_wins_everywhere(self):
         g = cycle_graph(4)
         t = solve_k(g, 2)
-        wins = t.winning_placements()
-        assert wins  # two cops win on C4
         best = t.best_placement()
-        assert best is not None and best[0] in wins
+        assert best is not None  # two cops win on C4
+        assert all(t.is_win(best[0], r, 0) for r in range(g.n))
 
     def test_steps_none_on_losing(self):
         g = cycle_graph(6)
@@ -227,4 +236,4 @@ class TestDismantlable:
             return
         g = from_edges(n, edges)
         t = solve_k(g, 1)
-        assert bool(t.winning_placements()) == is_copwin_dismantlable(g)
+        assert (t.best_placement() is not None) == is_copwin_dismantlable(g)
