@@ -161,27 +161,26 @@ def _load_graph(args) -> tuple[GraphView, str]:
 
 
 # ---------------------------------------------------------------------------
-# Trial workers (top level so process pools can pickle them)
+# Trials
+#
+# Every trial of `simulate`, `verify-expansion` and `scaling` draws one
+# seeded G(n, p), then plays a game on it or checks its expansion.
+# TRIALS maps (command, regime) to (salt, body, options, columns):
+#   salt     the trial_entropy salt that separates the four kinds' seeds;
+#   body     (g, strategy or probe seed, task) -> the row's result columns;
+#   options  the command's options a task carries beyond n, d, seed, trials;
+#   columns  the row's columns; parameter columns are copied from the task.
+# The bodies call the library through this module's globals, so patching
+# `pursuit.cli.play` and the like reaches them.
+
+MIN_N = {"dense": 2, "sparse": 1}  # the least n that p = d/(n-1) or d/n takes
 
 
-def _dense_trial(task: dict) -> dict:
-    n, d, C, seed, trial, horizon = (
-        task["n"], task["d"], task["C"], task["seed"], task["trial"], task["horizon"],
-    )
-    gs, ss = trial_entropy(seed, trial, salt=1)
-    p = min(1.0, d / (n - 1))
-    g = gnp(n, p, gs)
-    strat = DenseStrategy(g, DenseStrategyConfig(C=C, seed=ss))
-    res = play(g, strat, GreedyRobber(), horizon=horizon)
+def _play(g, strategy, task) -> tuple[dict, dict]:
+    """One game against the greedy robber: its metadata and shared columns."""
+    res = play(g, strategy, GreedyRobber(), horizon=task["horizon"])
     meta = res.meta
-    return {
-        "trial": trial,
-        "n": n,
-        "d": d,
-        "C": C,
-        "case": meta.get("case"),
-        "r": meta.get("r"),
-        "omega": meta.get("omega"),
+    return meta, {
         "cops_used": meta.get("budget_total"),
         "captured": int(res.winner == "cops"),
         "capture_time": res.capture_time,
@@ -189,82 +188,40 @@ def _dense_trial(task: dict) -> dict:
     }
 
 
-def _sparse_trial(task: dict) -> dict:
-    n, d, C, eps0, F, seed, trial, horizon = (
-        task["n"], task["d"], task["C"], task["eps0"], task["F"],
-        task["seed"], task["trial"], task["horizon"],
-    )
-    gs, ss = trial_entropy(seed, trial, salt=2)
-    g = gnp(n, min(1.0, d / n), gs)
-    row = {
-        "trial": trial,
-        "n": n,
-        "d": d,
-        "C": C,
-        "eps0": eps0,
-        "F": F,
-        "cops_used": None,
-        "captured": 0,
-        "capture_time": None,
-        "rounds": None,
-        "sealed": None,
-        "round1_vulnerable": None,
-        "failures": None,
-        "error": "",
-    }
+def _dense_game(g, ss: int, task: dict) -> dict:
+    meta, cols = _play(g, DenseStrategy(g, DenseStrategyConfig(C=task["C"], seed=ss)), task)
+    return dict(cols, case=meta.get("case"), r=meta.get("r"), omega=meta.get("omega"))
+
+
+def _sparse_game(g, ss: int, task: dict) -> dict:
+    n, d = task["n"], task["d"]
     try:
-        sched = radius_schedule(n, d, eps0, F, C)
+        sched = radius_schedule(n, d, task["eps0"], task["F"], task["C"])
     except ScheduleError as exc:
-        row["error"] = f"schedule: {exc}"
-        return row
+        return {"captured": 0, "error": f"schedule: {exc}"}
     density_eps = min(1.0, max(0.05, d / math.log(n) - 0.5))
-    x_set = low_degree_set(g, density_eps, d)
-    strat = SparseStrategy(g, sched, x_set, seed=ss)
-    res = play(g, strat, GreedyRobber(), horizon=horizon)
-    meta = res.meta
-    row.update(
-        cops_used=meta.get("budget_total"),
-        captured=int(res.winner == "cops"),
-        capture_time=res.capture_time,
-        rounds=len(meta.get("rounds", [])),
-        sealed=meta.get("sealed"),
-        round1_vulnerable=meta.get("round1_vulnerable"),
-        failures=len(meta.get("failures", [])),
-    )
-    return row
+    strategy = SparseStrategy(g, sched, low_degree_set(g, density_eps, d), seed=ss)
+    meta, cols = _play(g, strategy, task)
+    return dict(cols, rounds=len(meta.get("rounds", [])), sealed=meta.get("sealed"),
+                round1_vulnerable=meta.get("round1_vulnerable"), error="")
 
 
-def _dense_verify_trial(task: dict) -> dict:
-    n, d, seed, trial, count, c, tol = (
-        task["n"], task["d"], task["seed"], task["trial"],
-        task["count"], task["c"], task["tol"],
-    )
-    gs, ps = trial_entropy(seed, trial, salt=3)
-    g = gnp(n, min(1.0, d / (n - 1)), gs)
-    probes = dense_probes(g, ps, count)
-    report = verify_dense_lower(g, DenseExpansionParams(c=c, rel_tol=tol), probes)
-    worst = report.worst_ratio["ratio"] if report.worst_ratio else None
+def _dense_check(g, ps: int, task: dict) -> dict:
+    probes = dense_probes(g, ps, task["count"])
+    report = verify_dense_lower(g, DenseExpansionParams(c=task["c"], rel_tol=task["tol"]), probes)
     return {
-        "trial": trial,
-        "n": n,
-        "d": d,
         "checked": report.checked,
         "skipped": report.skipped,
         "lower_failures": len(report.lower_failures),
         "ratio_failures": len(report.ratio_failures),
-        "worst_ratio": worst,
+        "worst_ratio": report.worst_ratio["ratio"] if report.worst_ratio else None,
         "passed": int(report.passed),
     }
 
 
-def _sparse_verify_trial(task: dict) -> dict:
-    n, d, seed, trial, count, eps, delta = (
-        task["n"], task["d"], task["seed"], task["trial"],
-        task["count"], task["eps"], task["delta"],
-    )
-    gs, ps = trial_entropy(seed, trial, salt=4)
-    g = gnp(n, min(1.0, d / n), gs)
-    probes = sparse_probes(g, ps, d, count=count, delta=delta)
+def _sparse_check(g, ps: int, task: dict) -> dict:
+    d, eps, delta = task["d"], task["eps"], task["delta"]
+    probes = sparse_probes(g, ps, d, count=task["count"], delta=delta)
     report = sparse_report(g, eps, delta, probes, d=d)
     cond = report.per_condition
     witnesses = emitted = failed = verrors = 0
@@ -279,13 +236,7 @@ def _sparse_verify_trial(task: dict) -> dict:
             verrors += len(verify_witness(g, out))
         else:
             failed += 1
-    q_ok = all(qs.per_a_max <= qs.bound for qs in report.q_sets)
     return {
-        "trial": trial,
-        "n": n,
-        "d": d,
-        "eps": eps,
-        "delta": delta,
         "d_set_size": len(report.low_degree),
         "d_size_ok": int(report.d_size_ok),
         "upper_checked": cond["sphere_upper"]["checked"],
@@ -294,7 +245,7 @@ def _sparse_verify_trial(task: dict) -> dict:
         "lower_passed": cond["sphere_lower"]["passed"],
         "union_checked": cond["union"]["checked"],
         "union_passed": cond["union"]["passed"],
-        "q_overlap_ok": int(q_ok),
+        "q_overlap_ok": int(all(qs.per_a_max <= qs.bound for qs in report.q_sets)),
         "witnesses_emitted": emitted,
         "witnesses_ok": witnesses,
         "witnesses_failed": failed,
@@ -302,11 +253,48 @@ def _sparse_verify_trial(task: dict) -> dict:
     }
 
 
-def _run_tasks(worker, tasks: list[dict], jobs: int) -> list[dict]:
+TRIALS = {
+    ("simulate", "dense"): (
+        1, _dense_game, ("C", "horizon"),
+        ["trial", "n", "d", "C", "case", "r", "omega", "cops_used", "captured",
+         "capture_time", "failures"],
+    ),
+    ("simulate", "sparse"): (
+        2, _sparse_game, ("C", "horizon", "eps0", "F"),
+        ["trial", "n", "d", "C", "eps0", "F", "cops_used", "captured", "capture_time",
+         "rounds", "sealed", "round1_vulnerable", "failures", "error"],
+    ),
+    ("verify-expansion", "dense"): (
+        3, _dense_check, ("count", "c", "tol"),
+        ["trial", "n", "d", "checked", "skipped", "lower_failures", "ratio_failures",
+         "worst_ratio", "passed"],
+    ),
+    ("verify-expansion", "sparse"): (
+        4, _sparse_check, ("count", "eps", "delta"),
+        ["trial", "n", "d", "eps", "delta", "d_set_size", "d_size_ok", "upper_checked",
+         "upper_passed", "lower_checked", "lower_passed", "union_checked", "union_passed",
+         "q_overlap_ok", "witnesses_emitted", "witnesses_ok", "witnesses_failed",
+         "witness_verify_errors"],
+    ),
+}
+
+
+def _trial(task: dict) -> dict:
+    """One row of TRIALS[command, regime]; top level so process pools can pickle it."""
+    salt, body, _, columns = TRIALS[task["command"], task["regime"]]
+    n, d = task["n"], task["d"]
+    gs, s = trial_entropy(task["seed"], task["trial"], salt=salt)
+    g = gnp(n, min(1.0, d / (n - 1 if task["regime"] == "dense" else n)), gs)
+    row = {k: task.get(k) for k in columns}
+    row.update(body(g, s, task))
+    return row
+
+
+def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+            return list(pool.map(_trial, tasks))
+    return [_trial(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +305,19 @@ def cmd_gen(args) -> None:
     if args.model == "gnp":
         if args.p is None:
             raise SystemExit("gnp needs --p")
-        g = gnp(args.n, args.p, args.seed)
+        build, arg = gnp, args.p
     elif args.model == "gnm":
         if args.m is None:
             raise SystemExit("gnm needs --m")
-        g = gnm(args.n, args.m, args.seed)
-    elif args.model == "regular":
+        build, arg = gnm, args.m
+    else:
         if args.d is None or not args.d.is_integer():
             raise SystemExit("regular needs an integer --d")
-        g = random_regular(args.n, int(args.d), args.seed)
-    else:
-        raise SystemExit(f"unknown model {args.model!r}")
+        build, arg = random_regular, int(args.d)
+    try:
+        g = build(args.n, arg, args.seed)
+    except ValueError as err:
+        raise SystemExit(f"gen --model {args.model}: {err}")
     _write_out(args.out, to_edge_list_text(g))
 
 
@@ -356,63 +346,19 @@ def cmd_exact(args) -> None:
         _emit(args, "exact", params, None, result)
 
 
-def cmd_simulate(args) -> None:
-    n = args.n
-    if args.d is None:
-        d = math.log(n) ** 3 if args.regime == "dense" else 1.1 * math.log(n)
-    else:
-        d = args.d
-    horizon = args.horizon
-    common = {"n": n, "d": d, "C": args.C, "seed": args.seed, "horizon": horizon}
-    if args.regime == "dense":
-        tasks = [dict(common, trial=t) for t in range(args.trials)]
-        rows = _run_tasks(_dense_trial, tasks, args.jobs)
-        fields = ["trial", "n", "d", "C", "case", "r", "omega", "cops_used",
-                  "captured", "capture_time", "failures"]
-        params = dict(common, regime="dense", trials=args.trials)
-    else:
-        tasks = [dict(common, eps0=args.eps0, F=args.F, trial=t) for t in range(args.trials)]
-        rows = _run_tasks(_sparse_trial, tasks, args.jobs)
-        fields = ["trial", "n", "d", "C", "eps0", "F", "cops_used", "captured",
-                  "capture_time", "rounds", "sealed", "round1_vulnerable",
-                  "failures", "error"]
-        params = dict(common, regime="sparse", trials=args.trials,
-                      eps0=args.eps0, F=args.F)
-    _emit(args, "simulate", params, fields, rows)
-
-
-def cmd_verify_expansion(args) -> None:
-    n = args.n
-    if args.regime == "dense":
-        d = args.d if args.d is not None else math.log(n) ** 3
-        tasks = [
-            {"n": n, "d": d, "seed": args.seed, "trial": t, "count": args.count,
-             "c": args.c, "tol": args.tol}
-            for t in range(args.trials)
-        ]
-        rows = _run_tasks(_dense_verify_trial, tasks, args.jobs)
-        fields = ["trial", "n", "d", "checked", "skipped", "lower_failures",
-                  "ratio_failures", "worst_ratio", "passed"]
-        params = {"regime": "dense", "n": n, "d": d, "seed": args.seed,
-                  "trials": args.trials, "count": args.count, "c": args.c,
-                  "tol": args.tol}
-    else:
-        d = args.d if args.d is not None else 1.1 * math.log(n)
-        tasks = [
-            {"n": n, "d": d, "seed": args.seed, "trial": t, "count": args.count,
-             "eps": args.eps, "delta": args.delta}
-            for t in range(args.trials)
-        ]
-        rows = _run_tasks(_sparse_verify_trial, tasks, args.jobs)
-        fields = ["trial", "n", "d", "eps", "delta", "d_set_size", "d_size_ok",
-                  "upper_checked", "upper_passed", "lower_checked", "lower_passed",
-                  "union_checked", "union_passed", "q_overlap_ok",
-                  "witnesses_emitted", "witnesses_ok", "witnesses_failed",
-                  "witness_verify_errors"]
-        params = {"regime": "sparse", "n": n, "d": d, "seed": args.seed,
-                  "trials": args.trials, "count": args.count, "eps": args.eps,
-                  "delta": args.delta}
-    _emit(args, "verify-expansion", params, fields, rows)
+def cmd_trials(args) -> None:
+    """simulate and verify-expansion: one TRIALS row per seeded trial."""
+    n, regime = args.n, args.regime
+    _, _, options, columns = TRIALS[args.command, regime]
+    if n < MIN_N[regime]:
+        raise SystemExit(f"{args.command} --regime {regime} needs --n >= {MIN_N[regime]}, got {n}")
+    d = args.d
+    if d is None:
+        d = math.log(n) ** 3 if regime == "dense" else 1.1 * math.log(n)
+    params = {"regime": regime, "n": n, "d": d, "seed": args.seed, "trials": args.trials}
+    params.update((k, getattr(args, k)) for k in options)
+    tasks = [dict(params, command=args.command, trial=t) for t in range(args.trials)]
+    _emit(args, args.command, params, columns, _run_tasks(tasks, args.jobs))
 
 
 def cmd_bounds(args) -> None:
@@ -461,6 +407,8 @@ def cmd_zigzag(args) -> None:
 
 def cmd_scaling(args) -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
+    if min(sizes) < MIN_N["dense"]:
+        raise SystemExit(f"scaling needs every --sizes entry >= {MIN_N['dense']}, got {args.sizes}")
     cs = [float(c) for c in args.Cs.split(",")]
     rows = []
     for n in sizes:
@@ -468,11 +416,11 @@ def cmd_scaling(args) -> None:
         chosen = None
         for C in cs:
             tasks = [
-                {"n": n, "d": d, "C": C, "seed": args.seed, "trial": t,
-                 "horizon": args.horizon}
+                {"command": "simulate", "regime": "dense", "n": n, "d": d, "C": C,
+                 "seed": args.seed, "trial": t, "horizon": args.horizon}
                 for t in range(args.trials)
             ]
-            out = _run_tasks(_dense_trial, tasks, args.jobs)
+            out = _run_tasks(tasks, args.jobs)
             captures = sum(r["captured"] for r in out)
             rate = captures / len(out)
             mean_cops = sum(r["cops_used"] for r in out) / len(out)
@@ -547,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--F", type=float, default=1.0)
     s.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     _add_common(s)
-    s.set_defaults(func=cmd_simulate)
+    s.set_defaults(func=cmd_trials)
 
     v = subs.add_parser("verify-expansion", help="empirical expansion checks on random graphs")
     v.add_argument("--regime", choices=("dense", "sparse"), required=True)
@@ -559,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--eps", type=float, default=0.6)
     v.add_argument("--delta", type=float, default=0.05)
     _add_common(v)
-    v.set_defaults(func=cmd_verify_expansion)
+    v.set_defaults(func=cmd_trials)
 
     b = subs.add_parser("bounds", help="evaluate one tail bound or helper function")
     b.add_argument("--kind", required=True,

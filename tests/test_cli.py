@@ -70,6 +70,17 @@ class TestGen:
                   "--out", str(tmp_path / "x")])
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("model, flags, message", [
+        ("regular", ["--n", "5", "--d", "3"], "n\\*d must be even"),
+        ("gnp", ["--n", "5", "--p", "1.5"], "p must be in"),
+        ("gnm", ["--n", "5", "--m", "20"], "m must be in"),
+        ("gnp", ["--n", "-5", "--p", "0.5"], "n must be non-negative"),
+    ])
+    def test_model_rejection_exits(self, tmp_path, model, flags, message):
+        with pytest.raises(SystemExit, match=f"gen --model {model}: {message}"):
+            main(["gen", "--model", model, *flags, "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
 
 class TestExact:
     def test_petersen_json(self, tmp_path):
@@ -170,11 +181,22 @@ class TestSimulate:
         assert a == b
 
     def test_jobs_match_serial(self, tmp_path):
-        argv = ["simulate", "--regime", "dense", "--n", "150", "--trials", "4",
-                "--seed", "9", "--horizon", "50"]
-        serial = run(tmp_path, "s1.csv", argv)
-        parallel = run(tmp_path, "s2.csv", argv + ["--jobs", "2"])
-        assert serial == parallel
+        # every TRIALS entry and scaling, through the pickled process pool
+        for argv in (
+            ["simulate", "--regime", "dense", "--n", "150", "--trials", "4",
+             "--seed", "9", "--horizon", "50"],
+            ["simulate", "--regime", "sparse", "--n", "300", "--trials", "3",
+             "--seed", "9", "--C", "16", "--horizon", "60"],
+            ["verify-expansion", "--regime", "dense", "--n", "200", "--trials", "3",
+             "--count", "10", "--seed", "9"],
+            ["verify-expansion", "--regime", "sparse", "--n", "300", "--trials", "3",
+             "--count", "10", "--seed", "9"],
+            ["scaling", "--sizes", "64,100", "--Cs", "1,8", "--trials", "2",
+             "--seed", "9", "--horizon", "30"],
+        ):
+            serial = run(tmp_path, "s1.csv", argv)
+            parallel = run(tmp_path, "s2.csv", argv + ["--jobs", "2"])
+            assert serial == parallel, argv
 
     def test_json_envelope_and_schema(self, tmp_path):
         text = run(
@@ -285,6 +307,33 @@ class TestScaling:
         assert float(row["ratio_to_sqrt_n"]) == pytest.approx(
             float(row["mean_cops"]) / math.sqrt(64)
         )
+
+
+class TestSmallN:
+    """The p rule d/(n-1) dense, d/n sparse needs n >= 2 dense, n >= 1 sparse."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--regime", "dense", "--n", "1"],
+        ["simulate", "--regime", "dense", "--n", "0"],
+        ["simulate", "--regime", "sparse", "--n", "0"],
+        ["verify-expansion", "--regime", "dense", "--n", "1"],
+        ["verify-expansion", "--regime", "sparse", "--n", "0"],
+    ])
+    def test_trial_commands_reject_n(self, tmp_path, argv):
+        with pytest.raises(SystemExit, match="needs --n >= "):
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
+    def test_scaling_rejects_sizes(self, tmp_path):
+        with pytest.raises(SystemExit, match="--sizes entry >= 2"):
+            main(["scaling", "--sizes", "64,1", "--Cs", "1", "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
+    def test_sparse_n1_reports_the_schedule(self, tmp_path):
+        _, rows = parse_csv(run(tmp_path, "s.csv",
+                                ["simulate", "--regime", "sparse", "--n", "1", "--trials", "1"]))
+        assert rows[0]["error"] == "schedule: schedule needs d >= 2"
+        assert rows[0]["captured"] == "0"
 
 
 class TestConfig:

@@ -1,5 +1,7 @@
 """Game engine: legality, alternation, capture semantics, trace replay."""
 
+import dataclasses
+
 import pytest
 
 import oracles
@@ -132,8 +134,6 @@ class TestTraceValidation:
         g = path_graph(3)
         res = play(g, Scripted([1], [[1]]), ScriptedRobber(2, [2]), horizon=3)
         res.trace  # structure: place, place, then moves
-        import dataclasses
-
         forged = dataclasses.replace(res, winner="cops", capture_time=2)
         assert validate_trace(g, forged)
 
@@ -145,10 +145,33 @@ class TestTraceValidation:
             if e["event"] == "move" and e["actor"] == "cops":
                 e["to"] = [3]  # teleport
                 break
-        import dataclasses
-
         forged = dataclasses.replace(res, trace=bad)
         assert validate_trace(g, forged)
+
+    def test_forged_cop_jump_alone(self):
+        # the first cop move jumps 0->2 on the path 0-1-2-3; the next cop
+        # entry starts from 2, so only the cop edge check can object
+        g = path_graph(4)
+        res = play(g, Scripted([0], [[1], [2], [3]]), ScriptedRobber(3, [3]))
+        trace = [dict(e) for e in res.trace]
+        trace[2]["to"] = [2]
+        trace[4]["from"] = [2]
+        forged = dataclasses.replace(res, trace=trace)
+        assert validate_trace(g, forged) == ["entry 2: cop 0 illegal move 0->2"]
+
+    def test_forged_robber_jump_alone(self):
+        # the robber's first move jumps 4->2 on the path 0-...-4 and it stays
+        # there, out of the resting cop's reach, so only the robber edge
+        # check can object
+        g = path_graph(5)
+        res = play(g, Scripted([0], [[0]]), ScriptedRobber(4, [4]), horizon=3)
+        trace = [dict(e) for e in res.trace]
+        trace[3]["to"] = 2
+        for e in trace[4:]:
+            if e["actor"] == "robber":
+                e["from"] = e["to"] = 2
+        forged = dataclasses.replace(res, trace=trace)
+        assert validate_trace(g, forged) == ["entry 3: robber illegal move 4->2"]
 
 
 class TestStrategiesOnSmallGraphs:

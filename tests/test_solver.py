@@ -106,6 +106,17 @@ class TestTableInternals:
         forged = PositionTable(g, 2, t.multisets, t.succ_ptr, succ, np.array(t.steps))
         assert any(p.startswith("cop moves from (0, 0)") for p in forged.check_consistency())
 
+    def test_consistency_catches_a_mislabeled_capture_alone(self):
+        # a cop-turn capture labelled 1, not 0; every neighbouring position
+        # the robber moves from already has a larger label, so only the
+        # capture clause can see it
+        g = cycle_graph(5)
+        t = solve_k(g, 2)
+        steps = np.array(t.steps)
+        steps[t.pos(t.index_of((0, 1)), 1, 0)] = 1  # turn 0: the cops move
+        forged = PositionTable(g, 2, t.multisets, t.succ_ptr, t.succ, steps)
+        assert forged.check_consistency() == ["capture position (0, 1),1,0 mislabeled"]
+
     def test_table_surface(self):
         g = cycle_graph(5)
         a, b = solve_k(g, 2), solve_k(g, 2)
