@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .bounds import (
+    TailBound,
     bernstein_degree,
     chernoff_additive,
     chernoff_lower,
@@ -352,6 +353,13 @@ def cmd_trials(args) -> None:
     _, _, options, columns = TRIALS[args.command, regime]
     if n < MIN_N[regime]:
         raise SystemExit(f"{args.command} --regime {regime} needs --n >= {MIN_N[regime]}, got {n}")
+    if args.command == "verify-expansion" and regime == "sparse" and not (
+        0 < args.eps <= 1 and 0 < args.delta < args.eps / 6
+    ):
+        raise SystemExit(
+            f"verify-expansion --regime sparse needs 0 < --eps <= 1 and 0 < --delta < --eps/6, "
+            f"got --eps {args.eps} --delta {args.delta}"
+        )
     d = args.d
     if d is None:
         d = math.log(n) ** 3 if regime == "dense" else 1.1 * math.log(n)
@@ -361,31 +369,32 @@ def cmd_trials(args) -> None:
     _emit(args, args.command, params, columns, _run_tasks(tasks, args.jobs))
 
 
+# kind -> (evaluator, the flag dests it takes in order); the dests are also
+# the row's parameter columns, in that order
+BOUNDS = {
+    "relative": (chernoff_relative, ("mean", "dev_eps")),
+    "additive": (chernoff_additive, ("n", "p", "a")),
+    "lower": (chernoff_lower, ("mean", "t")),
+    "bernstein": (bernstein_degree, ("mean", "x")),
+    "psi": (psi, ("x",)),
+    "feps": (f_eps, ("eps", "x")),
+    "geps": (g_eps, ("eps",)),
+}
+
+
 def cmd_bounds(args) -> None:
     kind = args.kind
-    if kind == "relative":
-        value = chernoff_relative(args.mean, args.dev_eps).value
-        shown = {"mean": args.mean, "dev_eps": args.dev_eps}
-    elif kind == "additive":
-        value = chernoff_additive(args.n, args.p, args.a).value
-        shown = {"n": args.n, "p": args.p, "a": args.a}
-    elif kind == "lower":
-        value = chernoff_lower(args.mean, args.t).value
-        shown = {"mean": args.mean, "t": args.t}
-    elif kind == "bernstein":
-        value = bernstein_degree(args.mean, args.x).value
-        shown = {"mean": args.mean, "x": args.x}
-    elif kind == "psi":
-        value = psi(args.x)
-        shown = {"x": args.x}
-    elif kind == "feps":
-        value = f_eps(args.eps, args.x)
-        shown = {"eps": args.eps, "x": args.x}
-    elif kind == "geps":
-        value = g_eps(args.eps)
-        shown = {"eps": args.eps}
-    else:
-        raise SystemExit(f"unknown bound kind {kind!r}")
+    evaluate, dests = BOUNDS[kind]
+    shown = {k: getattr(args, k) for k in dests}
+    if None in shown.values():
+        flags = " ".join("--" + k.replace("_", "-") for k in dests)
+        raise SystemExit(f"bounds --kind {kind} needs {flags}")
+    try:
+        value = evaluate(*shown.values())
+    except ValueError as err:
+        raise SystemExit(f"bounds --kind {kind}: {err}")
+    if isinstance(value, TailBound):
+        value = value.value
     result = {"kind": kind, "params": shown, "value": value}
     params = dict(shown, kind=kind)
     if args.format == "csv":
@@ -400,7 +409,10 @@ def cmd_zigzag(args) -> None:
         xs = [args.x]
     else:
         xs = [i / args.points for i in range(1, args.points + 1)]
-    rows = [{"x": x, "value": zigzag(x)} for x in xs]
+    try:
+        rows = [{"x": x, "value": zigzag(x)} for x in xs]
+    except ValueError as err:
+        raise SystemExit(f"zigzag: {err}")
     params = {"points": args.points, "x": args.x}
     _emit(args, "zigzag", params, ["x", "value"], rows)
 
@@ -510,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_trials)
 
     b = subs.add_parser("bounds", help="evaluate one tail bound or helper function")
-    b.add_argument("--kind", required=True,
-                   choices=("relative", "additive", "lower", "bernstein", "psi", "feps", "geps"))
+    b.add_argument("--kind", required=True, choices=tuple(BOUNDS))
     b.add_argument("--mean", type=float, default=None)
     b.add_argument("--dev-eps", type=float, default=None)
     b.add_argument("--n", type=int, default=None)

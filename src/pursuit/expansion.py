@@ -87,7 +87,6 @@ class DenseExpansionReport:
     skipped: int = 0
     lower_failures: list[dict] = field(default_factory=list)
     ratio_failures: list[dict] = field(default_factory=list)
-    worst_lower_margin: dict | None = None
     worst_ratio: dict | None = None
     probes: list[dict] = field(default_factory=list)
 
@@ -135,7 +134,6 @@ def verify_dense_lower(
         union_size = int(np.count_nonzero(dist >= 0))
         floor = params.c * min(sdr, n)
         lower_ok = union_size >= floor
-        margin = union_size / floor if floor > 0 else math.inf
         entry = {
             "s_set": probe.s_set,
             "r": probe.r,
@@ -146,8 +144,6 @@ def verify_dense_lower(
         report.checked += 1
         if not lower_ok:
             report.lower_failures.append(entry)
-        if report.worst_lower_margin is None or margin < report.worst_lower_margin["margin"]:
-            report.worst_lower_margin = {**entry, "margin": margin}
         if sdr < n / logn and probe.r >= 1:
             ratio = union_size / sdr
             entry["ratio"] = ratio
@@ -382,32 +378,28 @@ def q_set_construction(g: GraphView, v: int, r: int, r_prime: int, d: float) -> 
     if d <= 1.0:
         raise ValueError("needs d > 1")
     depth_cap = r + r_prime
-    indptr, indices = g.csr()
-    state = np.full(g.n, -1, dtype=np.int64)  # distance from v
-    children = np.zeros(g.n, dtype=np.int64)
-    state[v] = 0
-    frontier = np.array([v], dtype=np.int64)
-    depth = 0
     # children counts need one layer beyond the cap
-    while len(frontier) and depth <= depth_cap:
-        depth += 1
-        nbrs, counts = _gather_neighbors(indptr, indices, frontier)
-        parents = np.repeat(frontier, counts)
-        fresh = state[nbrs] == -1
-        nbrs, parents = nbrs[fresh], parents[fresh]
-        # nbrs is in scan order, so a vertex's first copy names its parent
-        _, first = np.unique(nbrs, return_index=True)
-        first.sort()
-        frontier = nbrs[first]
-        state[frontier] = depth
-        owners, owned = np.unique(parents[first], return_counts=True)
-        children[owners] = owned
-    in_range = (state >= 0) & (state <= depth_cap)
+    dist = bfs_distances(g, [v], max_depth=depth_cap + 1)
+    indptr, indices = g.csr()
+    children = np.zeros(g.n, dtype=np.int64)
+    rank = np.zeros(g.n, dtype=np.int64)  # place in its layer's discovery order
+    layer = np.array([v])  # the previous layer, in discovery order
+    for depth in range(1, int(dist.max()) + 1):
+        level = np.flatnonzero(dist == depth)
+        nbrs, counts = _gather_neighbors(indptr, indices, level)
+        ranks = np.where(dist[nbrs] == depth - 1, rank[nbrs], g.n)
+        # the rank of each vertex's parent, its earliest neighbour on `layer`;
+        # the layer is found parent by parent, each parent's row ascending
+        parent = np.minimum.reduceat(ranks, np.cumsum(counts) - counts)
+        children[layer] = np.bincount(parent, minlength=len(layer))
+        layer = level[np.lexsort((level, parent))]
+        rank[layer] = np.arange(len(layer))
+    in_range = (dist >= 0) & (dist <= depth_cap)
     q_mask = in_range & (children < 2.0 * d / 3.0)
     q = frozenset(int(x) for x in np.flatnonzero(q_mask))
 
     per_a_max = 0
-    for _, depth, which, sa in bfs_per_source(g, np.flatnonzero(state == r), r_prime):
+    for _, depth, which, sa in bfs_per_source(g, np.flatnonzero(dist == r), r_prime):
         if depth == r_prime:
             per_a_max = max(per_a_max, int(np.bincount(which[q_mask[sa]]).max(initial=0)))
     scale = d**r_prime * g.n ** (-1.0 / 54.0)

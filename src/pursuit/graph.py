@@ -488,69 +488,53 @@ def two_nearest_source_distances(
     `sources` may repeat a vertex; a doubled source counts twice, so the
     second-smallest distance through it equals the smallest.  Returns
     (d1, d2) int32 arrays with -1 where fewer than one / two sources are
-    reachable.  Runs a label-propagating BFS that keeps at most two
-    distinct source labels per vertex; each level is resolved with array
-    ops so large graphs stay cheap.
+    reachable.
+
+    A label-propagating BFS in which each copy of a source is its own
+    label and every vertex keeps at most two labels.  A level holds
+    (vertex, label) pairs, sources with their copy numbers at level 0;
+    pairs whose vertex is full or already holds their label are dropped.
+    One pair per vertex fills its first empty slot, and a vertex whose
+    d1 was just set takes d2 from one remaining pair with another label;
+    "one pair" is the one whose id sticks in an n-sized scratch (the
+    write-own-id step of `bfs_per_source`).  Pairs that filled a slot
+    pass their label on, until no pair is left or every vertex is full.
+    d1 and d2 depend only on the multiset, so it does not matter which
+    pair wins.
     """
     indptr, indices = g.csr()
     n = g.n
-    src = np.asarray(list(sources), dtype=np.int64)
-    if src.size and (src.min() < 0 or src.max() >= n):
+    verts = np.asarray(list(sources), dtype=np.intp)
+    if verts.size and (verts.min() < 0 or verts.max() >= n):
         raise ValueError("source vertex out of range")
     d1 = np.full(n, -1, dtype=np.int32)
     d2 = np.full(n, -1, dtype=np.int32)
-    s1 = np.full(n, -1, dtype=np.int64)
-    if src.size == 0:
-        return d1, d2
-    uniq, counts = np.unique(src, return_counts=True)
-    d1[uniq] = 0
-    s1[uniq] = uniq
-    d2[uniq[counts >= 2]] = 0
-    multi = np.zeros(n, dtype=bool)
-    multi[uniq[counts >= 2]] = True
-
-    frontier_v = uniq
-    frontier_s = uniq
+    held = np.full(n, -1, dtype=np.int32)  # the label that set d1
+    scratch = np.empty(n, dtype=np.int32)
+    labels = np.arange(len(verts), dtype=np.int32)
     level = 0
-    while len(frontier_v):
+    while len(verts):
+        keep = d2[verts] == -1
+        keep &= held[verts] != labels
+        verts, labels = verts[keep], labels[keep]
+        ids = np.arange(len(verts), dtype=np.int32)
+        scratch[verts] = ids
+        won = scratch[verts] == ids
+        first = won & (d1[verts] == -1)
+        d1[verts[first]] = level
+        held[verts[first]] = labels[first]
+        d2[verts[won & ~first]] = level
+        rest = ~won & (d1[verts] == level) & (held[verts] != labels)
+        scratch[verts[rest]] = ids[rest]
+        won |= rest & (scratch[verts] == ids)
+        d2[verts[won & rest]] = level
+        if d2.min() >= 0:  # every vertex holds two labels
+            break
+        nbrs, counts = _gather_neighbors(indptr, indices, verts[won])
+        labels = np.repeat(labels[won], counts)
+        verts = nbrs.astype(np.intp)
+        del nbrs  # else the int32 copy lives through the next level
         level += 1
-        nv, cnt = _gather_neighbors(indptr, indices, frontier_v)
-        if len(nv) == 0:
-            break
-        nv = nv.astype(np.int64)
-        ns = np.repeat(frontier_s, cnt)
-        # drop labels the target vertex cannot accept
-        keep = (d2[nv] == -1) & (s1[nv] != ns)
-        nv, ns = nv[keep], ns[keep]
-        if len(nv) == 0:
-            break
-        order = np.lexsort((ns, nv))
-        nv, ns = nv[order], ns[order]
-        dup = np.zeros(len(nv), dtype=bool)
-        dup[1:] = (nv[1:] == nv[:-1]) & (ns[1:] == ns[:-1])
-        nv, ns = nv[~dup], ns[~dup]
-        first = np.ones(len(nv), dtype=bool)
-        first[1:] = nv[1:] != nv[:-1]
-        second = np.zeros(len(nv), dtype=bool)
-        second[1:] = first[:-1] & (nv[1:] == nv[:-1])
-        had_d1 = d1[nv] != -1
-        acc_d2_existing = first & had_d1
-        acc_d1_new = first & ~had_d1
-        acc_d2_new = second & ~had_d1
-        d2[nv[acc_d2_existing]] = level
-        d1[nv[acc_d1_new]] = level
-        s1[nv[acc_d1_new]] = ns[acc_d1_new]
-        d2[nv[acc_d2_new]] = level
-        newly = acc_d2_existing | acc_d1_new | acc_d2_new
-        frontier_v = nv[newly]
-        frontier_s = ns[newly]
-
-    # a doubled source vertex supplies its own second-nearest distance
-    has = s1 >= 0
-    dup_src = np.zeros(n, dtype=bool)
-    dup_src[has] = multi[s1[has]]
-    fix = dup_src & ((d2 == -1) | (d2 > d1))
-    d2[fix] = d1[fix]
     return d1, d2
 
 

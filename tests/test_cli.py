@@ -8,7 +8,7 @@ import math
 import jsonschema
 import pytest
 
-from pursuit import __version__
+from pursuit import __version__, cli
 from pursuit.bounds import chernoff_relative, g_eps, psi, zigzag
 from pursuit.cli import main
 from pursuit.graph import read_edge_list
@@ -247,6 +247,21 @@ class TestVerifyExpansion:
         )
         jsonschema.validate(json.loads(text), load_schema())
 
+    @pytest.mark.parametrize("flags", [
+        ["--eps", "0.5", "--delta", "0.1"],
+        ["--eps", "1.5"],
+        ["--delta", "0"],
+    ])
+    def test_sparse_rejects_eps_delta_before_the_graph(self, tmp_path, monkeypatch, flags):
+        def forbidden(*args):
+            raise AssertionError("graph built before the check")
+
+        monkeypatch.setattr(cli, "gnp", forbidden)
+        with pytest.raises(SystemExit, match=r"needs 0 < --eps <= 1 and 0 < --delta < --eps/6, got --eps"):
+            main(["verify-expansion", "--regime", "sparse", "--n", "400", "--d", "8",
+                  "--trials", "1", "--count", "15", *flags, "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
 
 class TestBounds:
     def test_relative(self, tmp_path):
@@ -274,6 +289,37 @@ class TestBounds:
         _, rows = parse_csv(text)
         assert float(rows[0]["value"]) <= 2.0
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("relative", "--mean --dev-eps"),
+        ("additive", "--n --p --a"),
+        ("lower", "--mean --t"),
+        ("bernstein", "--mean --x"),
+        ("psi", "--x"),
+        ("feps", "--eps --x"),
+        ("geps", "--eps"),
+    ])
+    def test_missing_flag_exits(self, tmp_path, kind, flags):
+        # --x alone leaves bernstein and feps one flag short and the rest
+        # none given; psi, which needs only --x, gets nothing
+        given = ["--x", "1"] if kind != "psi" else []
+        with pytest.raises(SystemExit, match=f"^bounds --kind {kind} needs {flags}$"):
+            main(["bounds", "--kind", kind, *given, "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["relative", "--mean", "5", "--dev-eps", "2"], r"dev_eps must lie in \(0, 3/2\)"),
+        (["additive", "--n", "0", "--p", "0.5", "--a", "1"], "n must be positive"),
+        (["lower", "--mean", "5", "--t", "6"], r"t must lie in \[0, mean\]"),
+        (["bernstein", "--mean", "5", "--x", "-1"], "x must be non-negative"),
+        (["psi", "--x", "-2"], "psi is defined for x >= -1"),
+        (["feps", "--eps", "0.6", "--x", "2"], r"x must be in \(0, 1/eps\]"),
+        (["geps", "--eps", "0"], r"eps must be in \(0, 1\]"),
+    ])
+    def test_rejected_value_exits(self, tmp_path, argv, message):
+        with pytest.raises(SystemExit, match=f"^bounds --kind {argv[0]}: {message}$"):
+            main(["bounds", "--kind", *argv, "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
 
 class TestZigzag:
     def test_single_point(self, tmp_path):
@@ -291,6 +337,11 @@ class TestZigzag:
     def test_json_schema(self, tmp_path):
         text = run(tmp_path, "z.json", ["zigzag", "--points", "5"], fmt="json")
         jsonschema.validate(json.loads(text), load_schema())
+
+    def test_rejected_x_exits(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"^zigzag: x must be in \(0, 1\]$"):
+            main(["zigzag", "--x", "2", "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
 
 
 class TestScaling:

@@ -450,6 +450,44 @@ class TestTwoNearest:
         d1, d2 = two_nearest_source_distances(g, [0])
         assert d1[2] == 2 and d2[2] == -1
 
+    @staticmethod
+    def assert_matches_oracle(g, sources):
+        d1, d2 = two_nearest_source_distances(g, sources)
+        r1, r2 = oracles.two_smallest_source_dists(g, sources)
+        assert d1.dtype == d2.dtype == np.int32
+        assert d1.tolist() == [-1 if x is None else x for x in r1], sources
+        assert d2.tolist() == [-1 if x is None else x for x in r2], sources
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_GRAPHS))
+    def test_seeded_random_graphs(self, kind):
+        # cops drawn with replacement, so some vertices hold two
+        n, p, seed = KERNEL_GRAPHS[kind]
+        g = from_edges(n, seeded_gnp_with_isolated(n, p, seed))
+        rng = np.random.default_rng(seed + 200)
+        for k in (2, 3, 7, 20, 40):
+            self.assert_matches_oracle(g, rng.choice(n, size=k).tolist())
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_GRAPHS))
+    def test_tripled_and_isolated_cops(self, kind):
+        # vertices 0, 1 and 2 are isolated
+        n, p, seed = KERNEL_GRAPHS[kind]
+        g = from_edges(n, seeded_gnp_with_isolated(n, p, seed))
+        for sources in ([5, 5, 5], [5, 5, 5, 9], [9, 5, 5, 5, 9], [0], [0, 0], [0, 0, 0],
+                        [0, 1, 50], [0, 1, 50, 50], [0, 0, 1, 2, 2, 2]):
+            self.assert_matches_oracle(g, sources)
+
+    def test_component_with_one_cop(self):
+        # a sparse G(300, p) beside a 40-vertex path, which holds one cop
+        n = 300
+        edges = seeded_gnp_with_isolated(n, 1.1 * np.log(n) / n, 13, isolated=())
+        path = [(i, i + 1) for i in range(n, n + 39)]
+        g = from_edges(n + 40, np.concatenate([edges, np.array(path)]))
+        rng = np.random.default_rng(13)
+        for k in (1, 2, 12):
+            cops = rng.choice(n, size=k).tolist()
+            self.assert_matches_oracle(g, cops + [n + 17])
+            self.assert_matches_oracle(g, [n + 3] + cops + [n + 3])
+
 
 class TestSerialization:
     @settings(max_examples=60, deadline=None)
